@@ -201,7 +201,6 @@ impl EngineBuilder {
     /// [`ShardedEngine`] facade.
     pub fn build_sharded(self, index: Index) -> Result<ShardedEngine> {
         let spec = self.sharding;
-        let device = Arc::clone(&self.device);
         // One recorder for every shard: each shard engine attaching its own
         // would overwrite the device's recorder and split counter deltas
         // across instances (the double-count / vanishing-counter bug).
@@ -222,7 +221,7 @@ impl EngineBuilder {
             };
             shards.push(builder.build(shard_index)?);
         }
-        Ok(ShardedEngine::from_shards(spec, shards, recorder, device))
+        Ok(ShardedEngine::from_shards(spec, shards))
     }
 
     /// Reopens an engine saved by [`Engine::save`]. The backend kind and

@@ -20,16 +20,12 @@ use std::time::{Duration, Instant};
 
 use poir_inquery::query::daat;
 use poir_inquery::{
-    rank_score_list, BeliefParams, BlockCache, Dictionary, DocId, DocTable, Evaluator, Index,
-    InvertedFileStore, StopWords,
+    BeliefParams, BlockCache, Dictionary, DocId, DocTable, Evaluator, Index, InvertedFileStore,
+    StopWords,
 };
 use poir_mneme::BufferStats;
 use poir_storage::{Device, FileHandle, IoSnapshot, SimTime};
-use poir_telemetry::trace::tag_query;
-use poir_telemetry::{
-    Event, LatencyBreakdown, MetricsReport, Phase, QueryTrace, Recorder, TelemetrySnapshot,
-    TraceOp, Tracer,
-};
+use poir_telemetry::{LatencyBreakdown, MetricsReport, QueryTrace, Recorder, Tracer};
 
 use crate::btree_store::BTreeInvertedFile;
 use crate::buffer_sizing::{paper_heuristic, BufferSizes};
@@ -37,6 +33,9 @@ use crate::builder::EngineBuilder;
 use crate::error::{CoreError, Result};
 use crate::instrument::StoreInstrumentation;
 use crate::mneme_store::MnemeInvertedFile;
+use crate::pipeline::{self, Driver, ShardView};
+use crate::service::RetryPolicy;
+use crate::shard::ShardRuntime;
 
 /// How [`Engine::run_query_set_mode`] schedules record I/O.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,8 +187,9 @@ pub struct QueryRequest {
     pub k: usize,
     /// Execution-mode override; `None` uses the executor's default.
     pub mode: Option<ExecMode>,
-    /// Deadline budget, measured from submission. Checked at phase
-    /// boundaries; an expired budget yields
+    /// Deadline budget, measured from submission (the service) or from
+    /// `execute` entry (the engines) and checked between shards and after
+    /// the merge; an expired budget yields
     /// [`CoreError::DeadlineExceeded`] with partial results.
     pub deadline: Option<Duration>,
     /// Caller-chosen stable id, propagated through trace records, the
@@ -360,20 +360,6 @@ impl ParallelSetReport {
     }
 }
 
-/// One worker thread's output: `(query_index, scored_docs)` pairs plus the
-/// thread's dictionary-lookup count (for telemetry).
-type ThreadResults = (Vec<(usize, Vec<poir_inquery::ScoredDoc>)>, u64);
-
-/// An [`Engine`] decomposed for the query service's worker pool (see
-/// [`Engine::into_parts`]).
-pub(crate) struct EngineParts {
-    pub(crate) dict: Dictionary,
-    pub(crate) docs: DocTable,
-    pub(crate) stop: StopWords,
-    pub(crate) params: BeliefParams,
-    pub(crate) store: MnemeInvertedFile,
-}
-
 /// The integrated IR system.
 pub struct Engine {
     device: Arc<Device>,
@@ -425,34 +411,49 @@ impl Engine {
 
     pub(crate) fn from_builder_build(b: EngineBuilder, index: Index) -> Result<Engine> {
         let Index { mut dictionary, documents, records } = index;
-        let store_handle = b.device.create_file();
-        let mut store = match b.backend {
+        let handle = b.device.create_file();
+        let store = match b.backend {
             BackendKind::BTree => StoreImpl::BTree(BTreeInvertedFile::build(
-                store_handle.clone(),
+                handle.clone(),
                 b.btree.clone(),
                 &records,
                 &mut dictionary,
             )?),
             BackendKind::MnemeNoCache | BackendKind::MnemeCache => {
-                let mut store = MnemeInvertedFile::build(
-                    store_handle.clone(),
+                StoreImpl::Mneme(MnemeInvertedFile::build(
+                    handle.clone(),
                     b.mneme.clone(),
                     &records,
                     &mut dictionary,
-                )?;
-                if b.backend == BackendKind::MnemeCache {
-                    let sizes =
-                        b.buffers.unwrap_or_else(|| paper_heuristic(store.largest_record(), 8192));
-                    store.attach_buffers_with(sizes, b.buffer_policy)?;
-                }
-                if let Some(cache) = b.shared_block_cache.clone() {
-                    store.attach_block_cache(cache);
-                } else if b.block_cache_bytes > 0 {
-                    store.attach_block_cache(Arc::new(BlockCache::new(b.block_cache_bytes)));
-                }
-                StoreImpl::Mneme(store)
+                )?)
             }
         };
+        let backend = b.backend;
+        Self::assemble(b, backend, dictionary, documents, store, handle)
+    }
+
+    /// The shared tail of build and open: attaches the builder's caches
+    /// (explicit or Table 2 buffers on the cached backend, the decoded-block
+    /// cache) and its recorder to the store, and assembles the engine.
+    fn assemble(
+        b: EngineBuilder,
+        backend: BackendKind,
+        dict: Dictionary,
+        docs: DocTable,
+        mut store: StoreImpl,
+        store_handle: FileHandle,
+    ) -> Result<Engine> {
+        if let StoreImpl::Mneme(s) = &mut store {
+            if backend == BackendKind::MnemeCache {
+                let sizes = b.buffers.unwrap_or_else(|| paper_heuristic(s.largest_record(), 8192));
+                s.attach_buffers_with(sizes, b.buffer_policy)?;
+            }
+            if let Some(cache) = b.shared_block_cache.clone() {
+                s.attach_block_cache(cache);
+            } else if b.block_cache_bytes > 0 {
+                s.attach_block_cache(Arc::new(BlockCache::new(b.block_cache_bytes)));
+            }
+        }
         // Shard engines built onto one device must share one recorder —
         // each engine attaching a fresh recorder would overwrite the
         // device's, and per-shard counter deltas would double-count or
@@ -465,9 +466,9 @@ impl Engine {
         }
         Ok(Engine {
             device: b.device,
-            backend: b.backend,
-            dict: dictionary,
-            docs: documents,
+            backend,
+            dict,
+            docs,
             stop: b.stop,
             params: b.params,
             store,
@@ -532,11 +533,6 @@ impl Engine {
         &self.stop
     }
 
-    /// Record lookups the store has served so far (monotone counter).
-    pub(crate) fn store_record_lookups(&self) -> u64 {
-        self.store.as_instrumented().record_lookups()
-    }
-
     /// Counters from the decoded-block cache, when one is attached
     /// ([`EngineBuilder::block_cache_bytes`] on a Mneme backend).
     pub fn block_cache_stats(&self) -> Option<poir_inquery::BlockCacheStats> {
@@ -557,15 +553,15 @@ impl Engine {
         }
     }
 
-    /// Decomposes the engine into the pieces a query-service worker pool
-    /// shares (Mneme backends only — workers fetch through
+    /// Decomposes the engine into the read path a query-service worker
+    /// pool shares (Mneme backends only — workers fetch through
     /// [`MnemeInvertedFile::shared_view`], which the B-tree store lacks).
-    pub(crate) fn into_parts(self) -> Result<EngineParts> {
+    pub(crate) fn into_parts(self) -> Result<ShardRuntime> {
         let Engine { dict, docs, stop, params, store, .. } = self;
         let StoreImpl::Mneme(store) = store else {
             return Err(CoreError::Unsupported("the query service on the B-tree backend"));
         };
-        Ok(EngineParts { dict, docs, stop, params, store })
+        Ok(ShardRuntime { dict, docs, stop, params, store })
     }
 
     /// The simulated device everything runs on.
@@ -605,11 +601,9 @@ impl Engine {
     }
 
     /// Parses and runs one query term-at-a-time, returning the top `k`
-    /// documents. Thin wrapper over [`Engine::run_one`]'s uninstrumented
-    /// serial path.
+    /// documents. Thin wrapper over [`Engine::execute`] in serial mode.
     pub fn query(&mut self, text: &str, k: usize) -> Result<Vec<RankedResult>> {
-        let (scored, _) = self.run_one(0, text, k, ExecMode::Serial, false)?;
-        Ok(self.to_ranked_results(scored))
+        Ok(self.execute(&QueryRequest::new(text, k).mode(ExecMode::Serial))?.hits)
     }
 
     /// Explains the belief `text` assigns to one document, node by node.
@@ -622,15 +616,13 @@ impl Engine {
 
     /// Runs a bag-of-words query document-at-a-time (the Section 3.1
     /// extension). Errors when the query is not a flat `#sum`/`#wsum`
-    /// (unlike [`Engine::run_one`], which falls back to term-at-a-time).
-    /// Thin wrapper over the uninstrumented DAAT path.
+    /// (unlike [`Engine::execute`], which falls back to term-at-a-time).
     pub fn query_daat(&mut self, text: &str, k: usize) -> Result<Vec<RankedResult>> {
         let parsed = poir_inquery::parse_query(text, &self.stop)?;
         if daat::flatten_bag(&parsed).is_none() {
             return Err(CoreError::Unsupported("document-at-a-time on structured queries"));
         }
-        let (scored, _) = self.run_one(0, text, k, ExecMode::Daat, false)?;
-        Ok(self.to_ranked_results(scored))
+        Ok(self.execute(&QueryRequest::new(text, k).mode(ExecMode::Daat))?.hits)
     }
 
     /// Processes a query set in batch mode, reproducing the paper's
@@ -648,258 +640,31 @@ impl Engine {
     /// Runs one query with per-phase timing, returning the ranking and its
     /// [`QueryTrace`]. Phase durations are always measured; the trace's
     /// event counters are zero unless the engine was built with telemetry
-    /// enabled. Thin wrapper over [`Engine::execute`]'s code path.
+    /// enabled. Thin wrapper over [`Engine::execute`].
     pub fn query_traced(
         &mut self,
         text: &str,
         k: usize,
     ) -> Result<(Vec<RankedResult>, QueryTrace)> {
-        let mode = self.exec_mode;
-        let (scored, trace) = self.run_one(0, text, k, mode, true)?;
-        Ok((self.to_ranked_results(scored), trace.expect("instrumented run returns a trace")))
+        let resp = self.execute(&QueryRequest::new(text, k))?;
+        Ok((resp.hits, resp.trace))
     }
 
-    /// Runs one typed [`QueryRequest`] through the full pipeline — the
-    /// single entry point the service and the batch path share.
+    /// Runs one typed [`QueryRequest`] through the evaluation
+    /// [`pipeline`] — the one code path the engines, the
+    /// service and the batch runners share.
     ///
     /// The request's `mode` (default: the engine's configured
-    /// [`ExecMode`]) picks the I/O schedule; its `deadline`, when set, is
-    /// checked after evaluation and turns an over-budget query into
-    /// [`CoreError::DeadlineExceeded`] carrying the computed hits as the
-    /// partial result. The response always carries per-phase timings; its
-    /// telemetry event delta is zero unless the engine was built with
+    /// [`ExecMode`]) picks the I/O schedule; its `deadline`, measured from
+    /// entry, and transient storage faults are handled by the pipeline's
+    /// [deadline, retry and degrade rule](crate::pipeline) (one shard: an
+    /// over-budget query returns [`CoreError::DeadlineExceeded`] carrying
+    /// the computed hits; a fault that outlasts the retries is the
+    /// request's error). The response always carries per-phase timings;
+    /// its telemetry event delta is zero unless the engine was built with
     /// telemetry enabled.
     pub fn execute(&mut self, req: &QueryRequest) -> Result<QueryResponse> {
-        let mode = req.mode.unwrap_or(self.exec_mode);
-        let qid = req.id.unwrap_or(0);
-        let start = Instant::now();
-        let (scored, trace) = self.run_one(qid as usize, &req.text, req.k, mode, true)?;
-        let elapsed = start.elapsed();
-        let hits = self.to_ranked_results(scored);
-        if let Some(budget) = req.deadline {
-            if elapsed > budget {
-                return Err(CoreError::DeadlineExceeded { budget, elapsed, partial: hits });
-            }
-        }
-        let micros = elapsed.as_micros() as u64;
-        let shards = vec![ShardTiming { shard: 0, micros, hits: hits.len() }];
-        let trace = trace.expect("instrumented run returns a trace");
-        // Direct execution has no queue and no cross-shard merge: the
-        // whole elapsed time is evaluation.
-        let breakdown = LatencyBreakdown::from_parts(qid, 0, micros, 0, micros);
-        Ok(QueryResponse {
-            hits,
-            shards,
-            trace,
-            queue_micros: 0,
-            mode,
-            breakdown,
-            degraded: None,
-            cached: false,
-        })
-    }
-
-    /// One query through the full pipeline — the one code path behind
-    /// [`Engine::execute`], [`Engine::query_traced`], and the batch
-    /// runners. With `instrumented` set, each phase gets per-phase
-    /// [`Instant`] timing, trace slices, and a per-query telemetry delta;
-    /// with it clear the function takes no timestamps and touches no
-    /// recorder beyond the store's single-branch no-ops, keeping the
-    /// measured batch path free of observation overhead.
-    pub(crate) fn run_one(
-        &mut self,
-        query_index: usize,
-        text: &str,
-        k: usize,
-        mode: ExecMode,
-        instrumented: bool,
-    ) -> Result<(Vec<poir_inquery::ScoredDoc>, Option<QueryTrace>)> {
-        // Tag the thread so every trace record emitted below — device
-        // reads, buffer refs, lock waits — carries this query's index.
-        let _tag = instrumented.then(|| tag_query(query_index as u32));
-        let query_span = instrumented.then(|| self.recorder.trace_start());
-        let before = instrumented.then(|| self.recorder.snapshot());
-        let mut phase_micros = [0u64; Phase::COUNT];
-        // Each phase's trace slice is emitted right after the phase ends so
-        // its start timestamp (now - duration) nests the I/O it contains.
-        let trace_phase = |phase: Phase, micros: u64| {
-            self.recorder.trace(
-                TraceOp::QueryPhase,
-                phase as u64,
-                None,
-                0,
-                Duration::from_micros(micros),
-            );
-        };
-        let t = instrumented.then(Instant::now);
-        let parsed = poir_inquery::parse_query(text, &self.stop)?;
-        if let Some(t) = t {
-            phase_micros[Phase::Parse as usize] = t.elapsed().as_micros() as u64;
-            trace_phase(Phase::Parse, phase_micros[Phase::Parse as usize]);
-        }
-        // The document-at-a-time modes bypass the Evaluator on flat
-        // bag-of-words queries; structured queries fall back to the serial
-        // term-at-a-time pipeline below.
-        let daat_bag = match mode {
-            ExecMode::Daat | ExecMode::DaatPruned => daat::flatten_bag(&parsed),
-            ExecMode::Serial | ExecMode::BatchedPrefetch => None,
-        };
-        let (scored, dict_lookups) = if let Some(bag) = daat_bag {
-            let store = self.store.as_store();
-            if self.reserve_enabled {
-                let t = instrumented.then(Instant::now);
-                let refs: Vec<u64> = bag
-                    .iter()
-                    .filter_map(|(_, term)| self.dict.lookup(term))
-                    .map(|id| self.dict.entry(id).store_ref)
-                    .collect();
-                store.reserve(&refs);
-                if let Some(t) = t {
-                    phase_micros[Phase::Reserve as usize] = t.elapsed().as_micros() as u64;
-                    trace_phase(Phase::Reserve, phase_micros[Phase::Reserve as usize]);
-                }
-            }
-            let t = instrumented.then(Instant::now);
-            let result = if mode == ExecMode::DaatPruned {
-                daat::rank_daat_pruned(store, &self.dict, &self.docs, self.params, &bag, k).map(
-                    |(scored, stats)| {
-                        if instrumented {
-                            self.recorder.add(Event::PostingsDecoded, stats.postings_decoded);
-                            self.recorder.add(Event::PostingsSkipped, stats.postings_skipped);
-                            self.recorder.add(Event::BlocksSkipped, stats.blocks_skipped);
-                            self.recorder.add(Event::BytesDecoded, stats.bytes_decoded);
-                            self.recorder.add(Event::BlocksBitpacked, stats.blocks_bitpacked);
-                            if stats.bytes_decoded > 0 {
-                                // One aggregate slice per query: object =
-                                // bit-packed blocks decoded, bytes = posting
-                                // payload bytes decoded.
-                                self.recorder.trace(
-                                    TraceOp::BlockDecode,
-                                    stats.blocks_bitpacked,
-                                    None,
-                                    stats.bytes_decoded,
-                                    Duration::ZERO,
-                                );
-                            }
-                            self.recorder.add(Event::BlockCacheHit, stats.block_cache_hits);
-                            self.recorder.add(Event::BlockCacheMiss, stats.block_cache_misses);
-                            if stats.block_cache_hits + stats.block_cache_misses > 0 {
-                                // One aggregate slice per query: object =
-                                // decoded-block cache hits, bytes = misses.
-                                self.recorder.trace(
-                                    TraceOp::BlockCache,
-                                    stats.block_cache_hits,
-                                    None,
-                                    stats.block_cache_misses,
-                                    Duration::ZERO,
-                                );
-                            }
-                            if stats.cursor_seeks > 0 {
-                                // One aggregate slice per query: object = seeks
-                                // that jumped blocks, bytes = postings bypassed.
-                                self.recorder.trace(
-                                    TraceOp::CursorSeek,
-                                    stats.cursor_seeks,
-                                    None,
-                                    stats.postings_skipped,
-                                    Duration::ZERO,
-                                );
-                            }
-                        }
-                        scored
-                    },
-                )
-            } else {
-                daat::rank_daat(store, &self.dict, &self.docs, self.params, &bag, k)
-            };
-            store.release_reservations();
-            // The cursor merge fetches, decodes, and ranks in one pass, so
-            // the whole loop is charged to Evaluate; Rank stays zero.
-            if let Some(t) = t {
-                phase_micros[Phase::Evaluate as usize] = t.elapsed().as_micros() as u64;
-                trace_phase(Phase::Evaluate, phase_micros[Phase::Evaluate as usize]);
-            }
-            (result?, bag.len() as u64)
-        } else {
-            let store = self.store.as_store();
-            let mut ev = Evaluator::new(store, &self.dict, &self.docs, &self.stop, self.params);
-            if mode == ExecMode::BatchedPrefetch {
-                let t = instrumented.then(Instant::now);
-                ev.prefetch(&parsed);
-                if let Some(t) = t {
-                    phase_micros[Phase::Prefetch as usize] = t.elapsed().as_micros() as u64;
-                    trace_phase(Phase::Prefetch, phase_micros[Phase::Prefetch as usize]);
-                }
-            }
-            if self.reserve_enabled {
-                let t = instrumented.then(Instant::now);
-                ev.reserve(&parsed);
-                if let Some(t) = t {
-                    phase_micros[Phase::Reserve as usize] = t.elapsed().as_micros() as u64;
-                    trace_phase(Phase::Reserve, phase_micros[Phase::Reserve as usize]);
-                }
-            }
-            let t = instrumented.then(Instant::now);
-            let list = ev.evaluate(&parsed);
-            if let Some(t) = t {
-                phase_micros[Phase::Evaluate as usize] = t.elapsed().as_micros() as u64;
-                trace_phase(Phase::Evaluate, phase_micros[Phase::Evaluate as usize]);
-            }
-            let dict_lookups = ev.dict_lookups();
-            ev.release_reservations();
-            let list = list?;
-            let t = instrumented.then(Instant::now);
-            let scored = rank_score_list(list, k);
-            if let Some(t) = t {
-                phase_micros[Phase::Rank as usize] = t.elapsed().as_micros() as u64;
-                trace_phase(Phase::Rank, phase_micros[Phase::Rank as usize]);
-            }
-            (scored, dict_lookups)
-        };
-        if !instrumented {
-            return Ok((scored, None));
-        }
-        self.recorder.add(Event::DictLookup, dict_lookups);
-        for phase in Phase::ALL {
-            self.recorder.record_phase(phase, phase_micros[phase as usize]);
-        }
-        if let Some(span) = query_span {
-            self.recorder.trace_end(span, TraceOp::Query, query_index as u64, None, 0);
-        }
-        let before = before.expect("instrumented run snapshots the recorder");
-        let delta = self.recorder.snapshot().since(&before);
-        let trace = QueryTrace {
-            query: query_index,
-            results: scored.len(),
-            phase_micros,
-            events: delta.events,
-        };
-        Ok((scored, Some(trace)))
-    }
-
-    /// Assembles the telemetry-derived [`MetricsReport`] for one query-set
-    /// run: raw counter deltas, per-query traces, and the cost-model time
-    /// recomputed purely from telemetry (equal to the `IoStats` charge
-    /// because the device records both at the same call sites).
-    fn metrics_report(
-        &self,
-        queries: usize,
-        tel_before: &TelemetrySnapshot,
-        traces: Vec<QueryTrace>,
-        engine_time: Duration,
-    ) -> Option<MetricsReport> {
-        if !self.recorder.is_enabled() {
-            return None;
-        }
-        let delta = self.recorder.snapshot().since(tel_before);
-        let sim_io_micros = self.device.cost_model().charge_telemetry(&delta).as_micros();
-        Some(MetricsReport {
-            queries,
-            delta,
-            traces,
-            engine_micros: engine_time.as_micros() as u64,
-            sim_io_micros,
-        })
+        execute_on(std::slice::from_mut(self), req)
     }
 
     /// [`Engine::run_query_set`] with an explicit I/O scheduling mode,
@@ -911,74 +676,19 @@ impl Engine {
         k: usize,
         mode: ExecMode,
     ) -> Result<(QuerySetReport, Vec<Vec<RankedResult>>)> {
-        // Parse outside the timed region is NOT what the paper does —
-        // "timing was begun just before query processing started" — parsing
-        // is part of query processing, so it stays inside.
-        self.device.chill();
-        self.store.as_instrumented().reset_buffer_stats();
-        let lookups_before = self.store.as_instrumented().record_lookups();
-        let io_before = self.device.stats().snapshot();
-        let tel_before = self.recorder.snapshot();
-        let mut traces = Vec::new();
-        let mut rankings = Vec::with_capacity(queries.len());
-        let start = Instant::now();
-        // One shared code path: with telemetry off, run_one takes no
-        // timestamps and touches no recorder beyond the store's
-        // single-branch no-ops, so the measured path stays overhead-free.
-        let instrumented = self.recorder.is_enabled();
-        for (qi, q) in queries.iter().enumerate() {
-            let (scored, trace) = self.run_one(qi, q.as_ref(), k, mode, instrumented)?;
-            if self.trace_queries {
-                if let Some(trace) = trace {
-                    traces.push(trace);
-                }
-            }
-            rankings.push(scored);
-        }
-        let engine_time = start.elapsed();
-        let io = self.device.stats().snapshot().since(&io_before);
-        // Saturating: a caller resetting store counters between runs must
-        // read as "no lookups", not underflow.
-        let record_lookups =
-            self.store.as_instrumented().record_lookups().saturating_sub(lookups_before);
-        let buffer_stats = self.store.as_instrumented().buffer_stats()?;
-        let metrics = self.metrics_report(queries.len(), &tel_before, traces, engine_time);
-        let report = QuerySetReport {
-            queries: queries.len(),
-            engine_time,
-            sys_io_time: self.device.cost_model().charge(&io),
-            io,
-            record_lookups,
-            buffer_stats,
-            metrics,
-        };
-        let rankings = rankings.into_iter().map(|r| self.to_ranked_results(r)).collect();
-        Ok((report, rankings))
-    }
-
-    pub(crate) fn to_ranked_results(
-        &self,
-        scored: Vec<poir_inquery::ScoredDoc>,
-    ) -> Vec<RankedResult> {
-        scored
-            .into_iter()
-            .map(|s| RankedResult {
-                doc: s.doc,
-                name: self.docs.info(s.doc).name.clone(),
-                score: s.score,
-            })
-            .collect()
+        run_set_on(std::slice::from_mut(self), queries, k, Some(mode))
     }
 
     /// Processes a query set on `threads` scoped worker threads sharing one
     /// read-only store view (Mneme backends only — the B-tree store has no
     /// concurrent read path).
     ///
-    /// Queries are dealt round-robin across threads; each thread runs the
-    /// batched-prefetch pipeline against [`MnemeInvertedFile::shared_view`],
-    /// whose fetches take `&self` and synchronize on per-pool buffer locks.
-    /// Rankings come back in query order. Timing and I/O statistics are
-    /// measured exactly as in the serial modes;
+    /// Queries are dealt round-robin across threads; each thread drives the
+    /// [`pipeline`] in batched-prefetch mode against
+    /// [`MnemeInvertedFile::shared_view`], whose fetches take `&self` and
+    /// synchronize on per-pool buffer locks (so, as on every shared view,
+    /// without reservation). Rankings come back in query order. Timing and
+    /// I/O statistics are measured exactly as in the serial modes;
     /// [`ParallelSetReport::wall_clock_secs`] divides the simulated I/O time
     /// across threads (striped I/O channels).
     pub fn run_query_set_parallel<S: AsRef<str> + Sync>(
@@ -988,73 +698,54 @@ impl Engine {
         threads: usize,
     ) -> Result<ParallelSetReport> {
         let threads = threads.max(1);
-        self.device.chill();
-        let StoreImpl::Mneme(store) = &mut self.store else {
-            return Err(CoreError::Unsupported("parallel query execution on the B-tree backend"));
-        };
-        store.reset_buffer_stats();
-        let store: &MnemeInvertedFile = store;
-        let lookups_before = StoreInstrumentation::record_lookups(store);
-        let io_before = self.device.stats().snapshot();
-        let tel_before = self.recorder.snapshot();
-        let dict = &self.dict;
-        let docs = &self.docs;
-        let stop = &self.stop;
-        let params = self.params;
-        let recorder = &self.recorder;
-        let start = Instant::now();
-        let mut per_thread: Vec<Result<ThreadResults>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let mut view = store.shared_view();
-                        let mut out = Vec::new();
-                        let mut dict_lookups = 0u64;
-                        for qi in (t..queries.len()).step_by(threads) {
-                            // Tag + whole-query slice: each worker gets its
-                            // own trace track, with per-query attribution.
-                            let _tag = tag_query(qi as u32);
-                            let query_span = recorder.trace_start();
-                            let parsed = poir_inquery::parse_query(queries[qi].as_ref(), stop)?;
-                            let mut ev = Evaluator::new(&mut view, dict, docs, stop, params);
-                            ev.prefetch(&parsed);
-                            let ranking = ev.rank(&parsed, k);
-                            dict_lookups += ev.dict_lookups();
-                            recorder.trace_end(query_span, TraceOp::Query, qi as u64, None, 0);
-                            out.push((qi, ranking?));
-                        }
-                        Ok((out, dict_lookups))
+        let run = |engines: &mut [Engine]| {
+            let Engine { store, dict, docs, stop, params, recorder, .. } = &engines[0];
+            let StoreImpl::Mneme(store) = store else {
+                return Err(CoreError::Unsupported(
+                    "parallel query execution on the B-tree backend",
+                ));
+            };
+            let driver = &Driver {
+                default_mode: ExecMode::BatchedPrefetch,
+                origin: Instant::now(),
+                retry: direct_retry(),
+                reserve: false,
+                timed: recorder.is_enabled(),
+                recorder,
+                stop,
+                params: *params,
+            };
+            let per_thread: Vec<Result<Vec<_>>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        scope.spawn(move || {
+                            let mut view = store.shared_view();
+                            let mut views = [ShardView { store: &mut view, dict, docs }];
+                            (t..queries.len())
+                                .step_by(threads)
+                                .map(|qi| {
+                                    let req = QueryRequest::new(queries[qi].as_ref(), k);
+                                    let ev =
+                                        pipeline::evaluate(&mut views, &req, qi as u32, driver);
+                                    Ok((qi, ev.scored?))
+                                })
+                                .collect()
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("query thread panicked")).collect()
-        });
-        let engine_time = start.elapsed();
-        let mut merged: Vec<Vec<poir_inquery::ScoredDoc>> = vec![Vec::new(); queries.len()];
-        for shard in per_thread.drain(..) {
-            let (shard, dict_lookups) = shard?;
-            self.recorder.add(Event::DictLookup, dict_lookups);
-            for (qi, ranking) in shard {
-                merged[qi] = ranking;
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("query thread panicked")).collect()
+            });
+            // Per-query traces need serial phase attribution; a parallel
+            // run reports set-level counters only.
+            Ok((per_thread, Vec::new()))
+        };
+        let (report, per_thread) = measure_set(std::slice::from_mut(self), queries.len(), run)?;
+        let mut rankings = vec![Vec::new(); queries.len()];
+        for thread in per_thread {
+            for (qi, scored) in thread? {
+                rankings[qi] = pipeline::name_hits(&self.docs, scored);
             }
         }
-        let io = self.device.stats().snapshot().since(&io_before);
-        let record_lookups =
-            StoreInstrumentation::record_lookups(store).saturating_sub(lookups_before);
-        let buffer_stats = Some(store.buffer_stats()?);
-        // Per-query traces need serial phase attribution; a parallel run
-        // reports set-level counters only.
-        let metrics = self.metrics_report(queries.len(), &tel_before, Vec::new(), engine_time);
-        let report = QuerySetReport {
-            queries: queries.len(),
-            engine_time,
-            sys_io_time: self.device.cost_model().charge(&io),
-            io,
-            record_lookups,
-            buffer_stats,
-            metrics,
-        };
-        let rankings = merged.into_iter().map(|r| self.to_ranked_results(r)).collect();
         Ok(ParallelSetReport { report, threads, rankings })
     }
 
@@ -1193,45 +884,143 @@ impl Engine {
             .ok_or(CoreError::CorruptMetadata("dictionary failed to decode"))?;
         let docs = DocTable::from_bytes(&bytes[21 + dict_len..])
             .ok_or(CoreError::CorruptMetadata("document table failed to decode"))?;
-        let mut store = match backend {
+        let store = match backend {
             BackendKind::BTree => StoreImpl::BTree(BTreeInvertedFile::open(
                 store_handle.clone(),
                 b.btree.cache_nodes,
             )?),
             BackendKind::MnemeNoCache | BackendKind::MnemeCache => {
-                let mut s = MnemeInvertedFile::open(store_handle.clone(), largest)?;
-                if backend == BackendKind::MnemeCache {
-                    s.attach_buffers_with(
-                        b.buffers.unwrap_or_else(|| paper_heuristic(largest, 8192)),
-                        b.buffer_policy,
-                    )?;
-                }
-                if let Some(cache) = b.shared_block_cache.clone() {
-                    s.attach_block_cache(cache);
-                } else if b.block_cache_bytes > 0 {
-                    s.attach_block_cache(Arc::new(BlockCache::new(b.block_cache_bytes)));
-                }
-                StoreImpl::Mneme(s)
+                StoreImpl::Mneme(MnemeInvertedFile::open(store_handle.clone(), largest)?)
             }
         };
-        let recorder = Self::recorder_for(&b.telemetry);
-        if recorder.is_enabled() {
-            b.device.attach_recorder(recorder.clone());
-            store.as_instrumented_mut().attach_recorder(recorder.clone());
-        }
-        Ok(Engine {
-            device: b.device,
-            backend,
-            dict,
-            docs,
-            stop: b.stop,
-            params: b.params,
-            store,
-            store_handle,
-            reserve_enabled: b.reservation,
-            exec_mode: b.exec_mode,
-            recorder,
-            trace_queries: b.telemetry.trace_queries,
-        })
+        Self::assemble(b, backend, dict, docs, store, store_handle)
     }
+}
+
+/// The engines' retry policy: the default budget, immediately — the
+/// direct path has no backoff clock of its own.
+fn direct_retry() -> RetryPolicy {
+    RetryPolicy { backoff: Duration::ZERO, ..RetryPolicy::default() }
+}
+
+/// Splits shard engines (one, for an unsharded [`Engine`]) into the
+/// pipeline's per-shard read views plus the values an engine driver
+/// supplies. Stop words, belief parameters, mode, reservation and the
+/// recorder are builder-wide, so the first engine's stand for all.
+fn drive(engines: &mut [Engine], timed: bool) -> (Vec<ShardView<'_>>, Driver<'_>) {
+    let mut driver = None;
+    let views = engines
+        .iter_mut()
+        .map(|e| {
+            driver.get_or_insert_with(|| Driver {
+                default_mode: e.exec_mode,
+                origin: Instant::now(),
+                retry: direct_retry(),
+                reserve: e.reserve_enabled,
+                timed,
+                recorder: &e.recorder,
+                stop: &e.stop,
+                params: e.params,
+            });
+            ShardView { store: e.store.as_store(), dict: &e.dict, docs: &e.docs }
+        })
+        .collect();
+    (views, driver.expect("an engine driver has at least one shard"))
+}
+
+/// One typed request over `engines` as shards: the body of
+/// [`Engine::execute`] and [`crate::ShardedEngine::execute`].
+pub(crate) fn execute_on(engines: &mut [Engine], req: &QueryRequest) -> Result<QueryResponse> {
+    let (mut views, driver) = drive(engines, true);
+    let ev = pipeline::evaluate(&mut views, req, req.id.unwrap_or(0), &driver);
+    pipeline::respond(ev, views[0].docs, 0, driver.origin)
+}
+
+/// The paper's measurement procedure (Section 4.2) around one batch run —
+/// the one wrapper behind all three batch runners: chill the OS cache,
+/// snapshot every counter, time `run`, report the deltas (how they
+/// aggregate across shards: [`crate::ShardedEngine::run_query_set`]).
+fn measure_set<R>(
+    engines: &mut [Engine],
+    queries: usize,
+    run: impl FnOnce(&mut [Engine]) -> Result<(R, Vec<QueryTrace>)>,
+) -> Result<(QuerySetReport, R)> {
+    let lookups = |engines: &[Engine]| -> u64 {
+        engines.iter().map(|e| e.store.as_instrumented().record_lookups()).sum()
+    };
+    let device = Arc::clone(&engines[0].device);
+    let recorder = engines[0].recorder.clone();
+    device.chill();
+    for engine in engines.iter() {
+        engine.store.as_instrumented().reset_buffer_stats();
+    }
+    let lookups_before = lookups(engines);
+    let io_before = device.stats().snapshot();
+    let tel_before = recorder.snapshot();
+    let start = Instant::now();
+    let (out, traces) = run(engines)?;
+    let engine_time = start.elapsed();
+    let io = device.stats().snapshot().since(&io_before);
+    // Saturating: a caller resetting store counters between runs must read
+    // as "no lookups", not underflow.
+    let record_lookups = lookups(engines).saturating_sub(lookups_before);
+    let buffer_stats = match engines {
+        [engine] => engine.store.as_instrumented().buffer_stats()?,
+        _ => None,
+    };
+    // The telemetry-derived report: raw counter deltas, per-query traces,
+    // and the cost-model time recomputed purely from telemetry (equal to
+    // the `IoStats` charge because the device records both at the same
+    // call sites).
+    let metrics = recorder.is_enabled().then(|| {
+        let delta = recorder.snapshot().since(&tel_before);
+        let sim_io_micros = device.cost_model().charge_telemetry(&delta).as_micros();
+        let engine_micros = engine_time.as_micros() as u64;
+        MetricsReport { queries, delta, traces, engine_micros, sim_io_micros }
+    });
+    let sys_io_time = device.cost_model().charge(&io);
+    let report = QuerySetReport {
+        queries,
+        engine_time,
+        sys_io_time,
+        io,
+        record_lookups,
+        buffer_stats,
+        metrics,
+    };
+    Ok((report, out))
+}
+
+/// One measured batch over `engines` as shards: the body of
+/// [`Engine::run_query_set_mode`] and
+/// [`crate::ShardedEngine::run_query_set`].
+pub(crate) fn run_set_on<S: AsRef<str>>(
+    engines: &mut [Engine],
+    queries: &[S],
+    k: usize,
+    mode: Option<ExecMode>,
+) -> Result<(QuerySetReport, Vec<Vec<RankedResult>>)> {
+    // Parsing stays inside the timed region: "timing was begun just before
+    // query processing started", and parsing is part of query processing.
+    let (report, rankings) = measure_set(engines, queries.len(), |engines| {
+        // With telemetry off the pipeline takes no timestamps, so the
+        // measured path stays free of observation overhead.
+        let timed = engines[0].recorder.is_enabled();
+        let keep_traces = timed && engines[0].trace_queries;
+        let (mut views, driver) = drive(engines, timed);
+        let mut traces = Vec::new();
+        let mut rankings = Vec::with_capacity(queries.len());
+        for (qi, q) in queries.iter().enumerate() {
+            let req =
+                QueryRequest { text: q.as_ref().to_string(), k, mode, deadline: None, id: None };
+            let ev = pipeline::evaluate(&mut views, &req, qi as u32, &driver);
+            rankings.push(ev.scored?);
+            if keep_traces {
+                traces.push(ev.trace);
+            }
+        }
+        Ok((rankings, traces))
+    })?;
+    let docs = &engines[0].docs;
+    Ok((report, rankings.into_iter().map(|r| pipeline::name_hits(docs, r)).collect()))
 }

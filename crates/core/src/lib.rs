@@ -15,7 +15,13 @@
 //!   remove documents incrementally through the object store,
 //! * [`chunked`] — large inverted lists broken into linked chunk objects
 //!   via inter-object references (the paper's future-work item enabling
-//!   incremental retrieval).
+//!   incremental retrieval),
+//! * `pipeline` (crate-private) — the one evaluation pipeline [`Engine`],
+//!   [`ShardedEngine`], [`QueryService`] and the batch runners drive, with
+//!   its deadline / retry / degrade rule.
+
+// Driver docs link to the crate-private `pipeline` module's rule.
+#![allow(rustdoc::private_intra_doc_links)]
 
 pub mod btree_store;
 pub mod buffer_sizing;
@@ -26,6 +32,7 @@ pub mod error;
 pub mod instrument;
 pub mod mneme_store;
 pub mod multi_file;
+mod pipeline;
 pub mod result_cache;
 pub mod service;
 pub mod shard;

@@ -88,7 +88,7 @@ pub(crate) fn to_record_bytes(bytes: ObjectBytes) -> RecordBytes {
     }
 }
 
-fn pool_configs(medium_segment: usize) -> Vec<PoolConfig> {
+pub(crate) fn pool_configs(medium_segment: usize) -> Vec<PoolConfig> {
     vec![
         PoolConfig { id: SMALL_POOL, kind: PoolKindConfig::Small },
         PoolConfig {
@@ -165,25 +165,11 @@ impl MnemeInvertedFile {
             dict.entry_mut(*term).store_ref = id.raw() as u64;
         }
         file.flush()?;
-        Ok(MnemeInvertedFile {
-            file,
-            lookups: AtomicU64::new(0),
-            largest_record: largest,
-            large_min,
-            recorder: Recorder::disabled(),
-            block_cache: None,
-            epoch: AtomicU64::new(0),
-            store_id: STORE_IDS.fetch_add(1, Ordering::Relaxed),
-        })
+        Ok(Self::new(file, largest, large_min))
     }
 
-    /// Opens an existing Mneme inverted file. `largest_record` (persisted by
-    /// the engine alongside the dictionary) drives buffer sizing.
-    pub fn open(handle: FileHandle, largest_record: usize) -> Result<Self> {
-        let file = MnemeFile::open(handle)?;
-        let large_min =
-            file.pool_max_object_len(MEDIUM_POOL)?.map_or(LARGE_MIN, |m| LARGE_MIN.min(m));
-        Ok(MnemeInvertedFile {
+    fn new(file: MnemeFile, largest_record: usize, large_min: usize) -> Self {
+        MnemeInvertedFile {
             file,
             lookups: AtomicU64::new(0),
             largest_record,
@@ -192,7 +178,16 @@ impl MnemeInvertedFile {
             block_cache: None,
             epoch: AtomicU64::new(0),
             store_id: STORE_IDS.fetch_add(1, Ordering::Relaxed),
-        })
+        }
+    }
+
+    /// Opens an existing Mneme inverted file. `largest_record` (persisted by
+    /// the engine alongside the dictionary) drives buffer sizing.
+    pub fn open(handle: FileHandle, largest_record: usize) -> Result<Self> {
+        let file = MnemeFile::open(handle)?;
+        let large_min =
+            file.pool_max_object_len(MEDIUM_POOL)?.map_or(LARGE_MIN, |m| LARGE_MIN.min(m));
+        Ok(Self::new(file, largest_record, large_min))
     }
 
     /// Attaches a telemetry recorder to the store and the underlying Mneme
@@ -234,12 +229,6 @@ impl MnemeInvertedFile {
     /// The attached decoded-block cache, if any.
     pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
         self.block_cache.as_ref()
-    }
-
-    /// The cache-key epoch: this store's process-unique id in the high 32
-    /// bits, its local mutation counter in the low 32.
-    fn combined_epoch(&self) -> u64 {
-        ((self.store_id as u64) << 32) | (self.epoch.load(Ordering::Relaxed) & 0xFFFF_FFFF)
     }
 
     /// Records an out-of-band mutation: bumps the store epoch so every
@@ -325,105 +314,20 @@ impl MnemeInvertedFile {
     }
 }
 
-/// Fetches many records through a shared `MnemeFile`, resolving references
-/// up front and letting the file coalesce adjacent-segment runs into single
-/// gathered reads. One record lookup is counted per reference.
-fn fetch_batch_via(
-    file: &MnemeFile,
-    lookups: &AtomicU64,
-    recorder: &Recorder,
-    store_refs: &[u64],
-) -> Vec<poir_inquery::Result<RecordBytes>> {
-    lookups.fetch_add(store_refs.len() as u64, Ordering::Relaxed);
-    recorder.add(Event::RecordLookup, store_refs.len() as u64);
-    let ids: Vec<Option<ObjectId>> =
-        store_refs.iter().map(|&r| ObjectId::from_raw(r as u32)).collect();
-    let good: Vec<ObjectId> = ids.iter().copied().flatten().collect();
-    let mut fetched = file.get_batch(&good).into_iter();
-    store_refs
-        .iter()
-        .zip(&ids)
-        .map(|(&r, id)| match id {
-            Some(_) => {
-                let bytes = fetched
-                    .next()
-                    .expect("one result per resolved id")
-                    .map_err(|e| poir_inquery::InqueryError::from(CoreError::from(e)))?;
-                recorder.incr(Event::RecordDecoded);
-                recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
-                Ok(to_record_bytes(bytes))
-            }
-            None => Err(CoreError::DanglingRef(r).into()),
-        })
-        .collect()
-}
-
-/// Serves a byte range through a shared `MnemeFile`. Opening reads
-/// (`start == 0`) count one record lookup exactly like a whole fetch;
-/// continuation reads (`start > 0`) count none, keeping the "A"
-/// statistic's denominator comparable across fetch protocols. Pools
-/// without a physical range path (small, medium) fall back to the whole
-/// record — returning more than asked, which the trait contract permits.
-fn fetch_range_via(
-    file: &MnemeFile,
-    lookups: &AtomicU64,
-    recorder: &Recorder,
-    store_ref: u64,
-    start: u64,
-    len: usize,
-) -> poir_inquery::Result<RecordBytes> {
-    if start == 0 {
-        lookups.fetch_add(1, Ordering::Relaxed);
-        recorder.incr(Event::RecordLookup);
-    }
-    let id = MnemeInvertedFile::object_id(store_ref)?;
-    match file.get_range(id, start, len).map_err(CoreError::from)? {
-        Some(bytes) => {
-            recorder.incr(Event::RangeRead);
-            if start == 0 {
-                recorder.incr(Event::RecordDecoded);
-            }
-            recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
-            Ok(to_record_bytes(bytes))
-        }
-        None => {
-            let bytes = file.get(id).map_err(CoreError::from)?;
-            if start == 0 {
-                recorder.incr(Event::RecordDecoded);
-                recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
-                Ok(to_record_bytes(bytes))
-            } else {
-                let from = (start.min(bytes.len() as u64)) as usize;
-                let to = from.saturating_add(len).min(bytes.len());
-                Ok(to_record_bytes(bytes).slice(from, to))
-            }
-        }
-    }
-}
-
-fn prefetch_via(file: &MnemeFile, store_refs: &[u64]) {
-    let ids: Vec<ObjectId> =
-        store_refs.iter().filter_map(|&r| ObjectId::from_raw(r as u32)).collect();
-    file.prefetch(&ids);
-}
-
+/// The owned store reads through the same path as its shared views: each
+/// call builds a [`SharedMnemeView`] (six borrowed words) and delegates, so
+/// the Mneme read path is written once.
 impl InvertedFileStore for MnemeInvertedFile {
     fn fetch(&mut self, store_ref: u64) -> poir_inquery::Result<RecordBytes> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.recorder.incr(Event::RecordLookup);
-        let id = Self::object_id(store_ref)?;
-        let bytes = self.file.get(id).map_err(CoreError::from)?;
-        self.recorder.incr(Event::RecordDecoded);
-        self.recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
-        Ok(to_record_bytes(bytes))
+        self.shared_view().fetch(store_ref)
     }
 
     fn fetch_batch(&mut self, store_refs: &[u64]) -> Vec<poir_inquery::Result<RecordBytes>> {
-        fetch_batch_via(&self.file, &self.lookups, &self.recorder, store_refs)
+        self.shared_view().fetch_batch(store_refs)
     }
 
     fn prefetch(&mut self, store_refs: &[u64]) {
-        prefetch_via(&self.file, store_refs);
+        self.shared_view().prefetch(store_refs);
     }
 
     fn fetch_range(
@@ -432,38 +336,35 @@ impl InvertedFileStore for MnemeInvertedFile {
         start: u64,
         len: usize,
     ) -> poir_inquery::Result<RecordBytes> {
-        fetch_range_via(&self.file, &self.lookups, &self.recorder, store_ref, start, len)
+        self.shared_view().fetch_range(store_ref, start, len)
     }
 
     fn supports_range_read(&self) -> bool {
-        true
+        self.shared_view().supports_range_read()
     }
 
     fn record_len_hint(&self, store_ref: u64) -> Option<u64> {
-        let id = Self::object_id(store_ref).ok()?;
-        self.file.object_len_hint(id)
+        self.shared_view().record_len_hint(store_ref)
     }
 
     fn reserve(&mut self, store_refs: &[u64]) {
-        let ids: Vec<ObjectId> =
-            store_refs.iter().filter_map(|&r| ObjectId::from_raw(r as u32)).collect();
-        self.file.reserve(&ids);
+        self.shared_view().reserve(store_refs);
     }
 
     fn release_reservations(&mut self) {
-        self.file.release_reservations();
+        self.shared_view().release_reservations();
     }
 
     fn decoded_block_cache(&self) -> Option<Arc<BlockCache>> {
-        self.block_cache.as_ref().map(Arc::clone)
+        self.shared_view().decoded_block_cache()
     }
 
     fn store_epoch(&self) -> u64 {
-        self.combined_epoch()
+        self.shared_view().store_epoch()
     }
 
     fn record_lookups(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
+        self.shared_view().record_lookups()
     }
 }
 
@@ -505,21 +406,79 @@ impl InvertedFileStore for SharedMnemeView<'_> {
         Ok(to_record_bytes(bytes))
     }
 
+    /// Resolves references up front and lets the file coalesce
+    /// adjacent-segment runs into single gathered reads. One record lookup
+    /// is counted per reference.
     fn fetch_batch(&mut self, store_refs: &[u64]) -> Vec<poir_inquery::Result<RecordBytes>> {
-        fetch_batch_via(self.file, self.lookups, self.recorder, store_refs)
+        self.lookups.fetch_add(store_refs.len() as u64, Ordering::Relaxed);
+        self.recorder.add(Event::RecordLookup, store_refs.len() as u64);
+        let ids: Vec<Option<ObjectId>> =
+            store_refs.iter().map(|&r| ObjectId::from_raw(r as u32)).collect();
+        let good: Vec<ObjectId> = ids.iter().copied().flatten().collect();
+        let mut fetched = self.file.get_batch(&good).into_iter();
+        store_refs
+            .iter()
+            .zip(&ids)
+            .map(|(&r, id)| match id {
+                Some(_) => {
+                    let bytes = fetched
+                        .next()
+                        .expect("one result per resolved id")
+                        .map_err(|e| poir_inquery::InqueryError::from(CoreError::from(e)))?;
+                    self.recorder.incr(Event::RecordDecoded);
+                    self.recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
+                    Ok(to_record_bytes(bytes))
+                }
+                None => Err(CoreError::DanglingRef(r).into()),
+            })
+            .collect()
     }
 
     fn prefetch(&mut self, store_refs: &[u64]) {
-        prefetch_via(self.file, store_refs);
+        let ids: Vec<ObjectId> =
+            store_refs.iter().filter_map(|&r| ObjectId::from_raw(r as u32)).collect();
+        self.file.prefetch(&ids);
     }
 
+    /// Opening reads (`start == 0`) count one record lookup exactly like a
+    /// whole fetch; continuation reads (`start > 0`) count none, keeping
+    /// the "A" statistic's denominator comparable across fetch protocols.
+    /// Pools without a physical range path (small, medium) fall back to
+    /// the whole record — returning more than asked, which the trait
+    /// contract permits.
     fn fetch_range(
         &mut self,
         store_ref: u64,
         start: u64,
         len: usize,
     ) -> poir_inquery::Result<RecordBytes> {
-        fetch_range_via(self.file, self.lookups, self.recorder, store_ref, start, len)
+        if start == 0 {
+            self.lookups.fetch_add(1, Ordering::Relaxed);
+            self.recorder.incr(Event::RecordLookup);
+        }
+        let id = MnemeInvertedFile::object_id(store_ref)?;
+        match self.file.get_range(id, start, len).map_err(CoreError::from)? {
+            Some(bytes) => {
+                self.recorder.incr(Event::RangeRead);
+                if start == 0 {
+                    self.recorder.incr(Event::RecordDecoded);
+                }
+                self.recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
+                Ok(to_record_bytes(bytes))
+            }
+            None => {
+                let bytes = self.file.get(id).map_err(CoreError::from)?;
+                if start == 0 {
+                    self.recorder.incr(Event::RecordDecoded);
+                    self.recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
+                    Ok(to_record_bytes(bytes))
+                } else {
+                    let from = (start.min(bytes.len() as u64)) as usize;
+                    let to = from.saturating_add(len).min(bytes.len());
+                    Ok(to_record_bytes(bytes).slice(from, to))
+                }
+            }
+        }
     }
 
     fn supports_range_read(&self) -> bool {
@@ -545,6 +504,8 @@ impl InvertedFileStore for SharedMnemeView<'_> {
         self.block_cache.map(Arc::clone)
     }
 
+    /// The cache-key epoch: the store's process-unique id in the high 32
+    /// bits, its local mutation counter in the low 32.
     fn store_epoch(&self) -> u64 {
         ((self.store_id as u64) << 32) | (self.epoch.load(Ordering::Relaxed) & 0xFFFF_FFFF)
     }
@@ -575,6 +536,15 @@ mod tests {
         (dict, records)
     }
 
+    /// The sample records loaded into a fresh store on a fresh device.
+    fn built_store() -> (MnemeInvertedFile, Dictionary, Vec<(TermId, Vec<u8>)>) {
+        let (mut dict, records) = sample_records();
+        let handle = Device::with_defaults().create_file();
+        let store =
+            MnemeInvertedFile::build(handle, MnemeOptions::default(), &records, &mut dict).unwrap();
+        (store, dict, records)
+    }
+
     #[test]
     fn partition_rules_match_the_paper() {
         assert_eq!(pool_for(0), SMALL_POOL);
@@ -587,15 +557,7 @@ mod tests {
 
     #[test]
     fn build_then_fetch_every_record() {
-        let dev = Device::with_defaults();
-        let (mut dict, records) = sample_records();
-        let mut store = MnemeInvertedFile::build(
-            dev.create_file(),
-            MnemeOptions::default(),
-            &records,
-            &mut dict,
-        )
-        .unwrap();
+        let (mut store, dict, records) = built_store();
         for (term, bytes) in &records {
             let r = dict.entry(*term).store_ref;
             assert_eq!(&store.fetch(r).unwrap(), bytes);
@@ -606,15 +568,7 @@ mod tests {
 
     #[test]
     fn records_land_in_their_pools() {
-        let dev = Device::with_defaults();
-        let (mut dict, records) = sample_records();
-        let mut store = MnemeInvertedFile::build(
-            dev.create_file(),
-            MnemeOptions::default(),
-            &records,
-            &mut dict,
-        )
-        .unwrap();
+        let (mut store, dict, records) = built_store();
         for (term, bytes) in &records {
             let id = ObjectId::from_raw(dict.entry(*term).store_ref as u32).unwrap();
             assert_eq!(store.mneme().pool_of(id).unwrap(), pool_for(bytes.len()));
@@ -653,15 +607,7 @@ mod tests {
 
     #[test]
     fn update_within_pool_keeps_the_reference() {
-        let dev = Device::with_defaults();
-        let (mut dict, records) = sample_records();
-        let mut store = MnemeInvertedFile::build(
-            dev.create_file(),
-            MnemeOptions::default(),
-            &records,
-            &mut dict,
-        )
-        .unwrap();
+        let (mut store, dict, records) = built_store();
         let (term, _) = records.iter().find(|(_, b)| b.len() > 100 && b.len() < 4000).unwrap();
         let r = dict.entry(*term).store_ref;
         let new_bytes = vec![9u8; 200];
@@ -672,15 +618,7 @@ mod tests {
 
     #[test]
     fn update_across_pools_migrates() {
-        let dev = Device::with_defaults();
-        let (mut dict, records) = sample_records();
-        let mut store = MnemeInvertedFile::build(
-            dev.create_file(),
-            MnemeOptions::default(),
-            &records,
-            &mut dict,
-        )
-        .unwrap();
+        let (mut store, dict, records) = built_store();
         let (term, _) = records.iter().find(|(_, b)| b.len() <= 12).unwrap();
         let r = dict.entry(*term).store_ref;
         // A small record grows past the small pool's 12-byte limit.
@@ -698,15 +636,7 @@ mod tests {
 
     #[test]
     fn insert_and_delete_records() {
-        let dev = Device::with_defaults();
-        let (mut dict, records) = sample_records();
-        let mut store = MnemeInvertedFile::build(
-            dev.create_file(),
-            MnemeOptions::default(),
-            &records,
-            &mut dict,
-        )
-        .unwrap();
+        let (mut store, ..) = built_store();
         let r = store.insert_record(&[3u8; 50]).unwrap();
         assert_eq!(store.fetch(r).unwrap(), vec![3u8; 50]);
         store.delete_record(r).unwrap();
@@ -715,15 +645,7 @@ mod tests {
 
     #[test]
     fn fetch_range_serves_large_records_partially() {
-        let dev = Device::with_defaults();
-        let (mut dict, records) = sample_records();
-        let mut store = MnemeInvertedFile::build(
-            dev.create_file(),
-            MnemeOptions::default(),
-            &records,
-            &mut dict,
-        )
-        .unwrap();
+        let (mut store, dict, records) = built_store();
         assert!(store.supports_range_read());
         let (term, bytes) = records.iter().find(|(_, b)| b.len() > LARGE_MIN).unwrap();
         let r = dict.entry(*term).store_ref;

@@ -15,27 +15,13 @@
 //! behaviour without creating 2^28 objects.
 
 use poir_inquery::{Dictionary, InvertedFileStore, TermId};
-use poir_mneme::{FileSlot, GlobalId, MnemeFile, ObjectId, PoolConfig, PoolKindConfig};
+use poir_mneme::{FileSlot, GlobalId, MnemeFile, ObjectId};
 use poir_storage::{Device, FileHandle};
 use poir_telemetry::{Event, Recorder};
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
-use crate::mneme_store::{pool_for, LARGE_POOL, MEDIUM_POOL, SMALL_POOL};
-
-fn pool_configs(medium_segment: usize) -> Vec<PoolConfig> {
-    vec![
-        PoolConfig { id: SMALL_POOL, kind: PoolKindConfig::Small },
-        PoolConfig {
-            id: MEDIUM_POOL,
-            kind: PoolKindConfig::Packed { segment_size: medium_segment as u32 },
-        },
-        PoolConfig {
-            id: LARGE_POOL,
-            kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-        },
-    ]
-}
+use crate::mneme_store::{pool_configs, pool_for};
 
 /// Options for a multi-file inverted file.
 #[derive(Debug, Clone)]

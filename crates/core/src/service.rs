@@ -9,14 +9,17 @@
 //!   arriving at a full queue is rejected immediately with
 //!   [`CoreError::Overloaded`] instead of queueing without bound
 //!   (reject-when-full load shedding).
-//! * **Deadlines** — a request's budget is measured from submission and
-//!   checked at phase boundaries: at dequeue (an already-expired request
-//!   is dropped without evaluation), between shards, and after the merge.
-//!   An expired budget yields [`CoreError::DeadlineExceeded`] carrying
-//!   the hits computed so far.
+//! * **Deadlines** — a request's budget is measured from submission. An
+//!   already-expired request is dropped at dequeue without evaluation;
+//!   after that the pipeline's
+//!   [deadline, retry and degrade rule](crate::pipeline) applies (checked
+//!   between shards and after the merge, transient faults retried under
+//!   [`ServiceConfig::retry`], failed shards degraded). An expired budget
+//!   yields [`CoreError::DeadlineExceeded`] carrying the hits computed so
+//!   far.
 //! * **Fixed worker pool** — `workers` threads (see
-//!   [`ShardSpec`]) evaluate queries concurrently against each shard
-//!   store's lock-synchronized
+//!   [`ShardSpec`]) drive the evaluation [`pipeline`]
+//!   concurrently over each shard store's lock-synchronized
 //!   [`shared_view`](crate::MnemeInvertedFile::shared_view); Mneme
 //!   backends only, like the parallel batch path.
 //!
@@ -44,23 +47,19 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use poir_inquery::query::daat;
-use poir_inquery::{
-    BeliefParams, BlockCacheStats, Dictionary, DocTable, Evaluator, InvertedFileStore, ScoredDoc,
-    StopWords,
-};
+use poir_inquery::{BlockCacheStats, InvertedFileStore};
 use poir_telemetry::trace::tag_query;
 use poir_telemetry::{
     Attribution, BreakdownRing, Counter, Event, FlightRecorder, Gauge, Histogram, LatencyBreakdown,
-    LatencySummary, MetricsRegistry, Phase, QueryTrace, Recorder, RegistrySnapshot,
-    SlowQueryRecord, SlowShard, TraceOp, WindowRates,
+    LatencySummary, MetricsRegistry, Recorder, RegistrySnapshot, SlowQueryRecord, SlowShard,
+    TraceOp, WindowRates,
 };
 
-use crate::engine::{Degraded, ExecMode, QueryRequest, QueryResponse, RankedResult, ShardTiming};
+use crate::engine::{ExecMode, QueryRequest, QueryResponse};
 use crate::error::{CoreError, Result};
-use crate::mneme_store::MnemeInvertedFile;
+use crate::pipeline::{self, Driver, ShardView};
 use crate::result_cache::{ResultCache, ResultCacheStats, ResultKey};
-use crate::shard::{ShardSpec, ShardedEngine};
+use crate::shard::{ShardRuntime, ShardSpec, ShardedEngine};
 
 /// Bounded-retry policy for transient storage faults during shard
 /// evaluation (see [`CoreError::is_transient_fault`]). The backoff is
@@ -176,13 +175,6 @@ impl ServiceMetrics {
     }
 }
 
-/// One shard's read path, shared by every worker.
-struct ShardRuntime {
-    dict: Dictionary,
-    docs: DocTable,
-    store: MnemeInvertedFile,
-}
-
 /// Per-shard failure accounting, updated lock-free by the workers.
 #[derive(Default)]
 struct ShardHealthState {
@@ -222,8 +214,6 @@ impl ShardHealth {
 /// State shared between the service handle and its workers.
 struct ServiceShared {
     shards: Vec<ShardRuntime>,
-    stop: StopWords,
-    params: BeliefParams,
     recorder: Recorder,
     capacity: usize,
     /// Requests admitted but not yet dequeued.
@@ -303,26 +293,13 @@ impl QueryService {
     /// threshold and capacity, breakdown window, stats sampling).
     pub fn start_with(engine: ShardedEngine, config: ServiceConfig) -> Result<QueryService> {
         let capacity = config.queue_capacity.max(1);
-        let (spec, parts, recorder, _device) = engine.into_parts()?;
-        let mut shards = Vec::with_capacity(parts.len());
-        let mut stop_params = None;
-        for p in parts {
-            // Stop words and belief parameters are builder-wide; keep the
-            // first shard's copy rather than one clone per shard.
-            if stop_params.is_none() {
-                stop_params = Some((p.stop, p.params));
-            }
-            shards.push(ShardRuntime { dict: p.dict, docs: p.docs, store: p.store });
-        }
-        let (stop, params) = stop_params.expect("a sharded engine has at least one shard");
+        let (spec, shards, recorder) = engine.into_parts()?;
         let metrics = ServiceMetrics::new(shards.len(), &config);
         let health = (0..shards.len()).map(|_| ShardHealthState::default()).collect();
         let result_cache = (config.result_cache_entries > 0)
             .then(|| ResultCache::new(config.result_cache_entries));
         let shared = Arc::new(ServiceShared {
             shards,
-            stop,
-            params,
             recorder,
             capacity,
             depth: AtomicUsize::new(0),
@@ -551,7 +528,12 @@ impl QueryService {
             // unreachable — never serve a stale one.
             let epoch = store_epoch(shared);
             let cache_key = shared.result_cache.as_ref().and_then(|_| {
-                Self::resolved_mode(shared, &job.request).map(|mode| ResultKey {
+                let mode = pipeline::resolve_mode(
+                    job.request.mode,
+                    ExecMode::DaatPruned,
+                    shared.shards.len(),
+                );
+                mode.ok().map(|mode| ResultKey {
                     query: job.request.text.trim().to_string(),
                     k: job.request.k,
                     mode: mode as u8,
@@ -631,7 +613,6 @@ impl QueryService {
         m.completed.inc();
         if resp.degraded.is_some() {
             m.degraded.inc();
-            shared.recorder.incr(Event::DegradedResponse);
         }
         for t in &resp.shards {
             if let Some(h) = m.eval.get(t.shard) {
@@ -667,189 +648,45 @@ impl QueryService {
         }
     }
 
-    /// One shard evaluation attempt (the retryable unit): document-at-a-
-    /// time ranking through the shard store's shared view.
-    fn rank_shard(
-        shard: &ShardRuntime,
-        params: BeliefParams,
-        bag: &[(f64, String)],
-        mode: ExecMode,
-        k: usize,
-    ) -> Result<Vec<ScoredDoc>> {
-        let mut view = shard.store.shared_view();
-        if mode == ExecMode::DaatPruned {
-            Ok(daat::rank_daat_pruned(&mut view, &shard.dict, &shard.docs, params, bag, k)?.0)
-        } else {
-            Ok(daat::rank_daat(&mut view, &shard.dict, &shard.docs, params, bag, k)?)
-        }
-    }
-
-    /// The execution mode [`QueryService::evaluate`] will resolve for this
-    /// request, or `None` when resolution is rejected (term-at-a-time on a
-    /// sharded service). Sharded evaluation must be document-at-a-time:
-    /// term-at-a-time beliefs read shard-local record statistics and would
-    /// silently diverge from the unsharded ranking (see [`ShardedEngine`]).
-    fn resolved_mode(shared: &ServiceShared, req: &QueryRequest) -> Option<ExecMode> {
-        let sharded = shared.shards.len() > 1;
-        match (req.mode, sharded) {
-            (None, _) => Some(ExecMode::DaatPruned),
-            (Some(m @ (ExecMode::Daat | ExecMode::DaatPruned)), _) => Some(m),
-            (Some(m), false) => Some(m),
-            (Some(_), true) => None,
-        }
-    }
-
-    /// Evaluates one request across the shards — the worker-pool analogue
-    /// of [`ShardedEngine::execute`], fetching through shared views.
+    /// Evaluates one request: the worker-pool driver of the evaluation
+    /// [`pipeline`]. Shards are read through shared views —
+    /// so never reserved, see the pipeline docs — the deadline runs from
+    /// submission, retries follow [`ServiceConfig::retry`], and shard
+    /// health and the retry counter are derived from the per-shard
+    /// outcomes, which the pipeline reports even when the request fails.
     fn evaluate(shared: &ServiceShared, job: &Job, queue_micros: u64) -> Result<QueryResponse> {
-        let req = &job.request;
-        let qid = req.id.unwrap_or(job.seq);
-        let sharded = shared.shards.len() > 1;
-        let Some(mode) = Self::resolved_mode(shared, req) else {
-            return Err(CoreError::Unsupported("term-at-a-time execution on a sharded engine"));
+        let mut stores: Vec<_> = shared.shards.iter().map(|s| s.store.shared_view()).collect();
+        let mut views: Vec<ShardView<'_>> = stores
+            .iter_mut()
+            .zip(&shared.shards)
+            .map(|(store, s)| ShardView { store, dict: &s.dict, docs: &s.docs })
+            .collect();
+        let driver = Driver {
+            default_mode: ExecMode::DaatPruned,
+            origin: job.submitted,
+            retry: shared.config.retry,
+            reserve: false,
+            timed: true,
+            recorder: &shared.recorder,
+            stop: &shared.shards[0].stop,
+            params: shared.shards[0].params,
         };
-        let mut phase_micros = [0u64; Phase::COUNT];
-        let t = Instant::now();
-        let parsed = poir_inquery::parse_query(&req.text, &shared.stop)?;
-        phase_micros[Phase::Parse as usize] = t.elapsed().as_micros() as u64;
-        let daat_bag = match mode {
-            ExecMode::Daat | ExecMode::DaatPruned => daat::flatten_bag(&parsed),
-            ExecMode::Serial | ExecMode::BatchedPrefetch => None,
-        };
-        let mut missing_shards: Vec<usize> = Vec::new();
-        let mut retries_total: u32 = 0;
-        let (merged, timings, merge_micros) = if let Some(bag) = daat_bag {
-            let mut per_shard: Vec<Vec<ScoredDoc>> = Vec::with_capacity(shared.shards.len());
-            let mut timings = Vec::with_capacity(shared.shards.len());
-            let mut last_err: Option<CoreError> = None;
-            let retry = shared.config.retry;
-            for (i, shard) in shared.shards.iter().enumerate() {
-                // Shard 0 always completes, so a deadline hit still
-                // returns a deterministic non-empty partial merge.
-                if i > 0 {
-                    if let Some(budget) = req.deadline {
-                        let elapsed = job.submitted.elapsed();
-                        if elapsed > budget {
-                            let merged = daat::merge_topk(per_shard, req.k);
-                            let partial = to_ranked(&shared.shards[0].docs, merged);
-                            return Err(CoreError::DeadlineExceeded { budget, elapsed, partial });
-                        }
-                    }
-                }
-                let t = Instant::now();
-                // Bounded retry with deterministic backoff for transient
-                // storage faults; a shard that fails past the budget is
-                // dropped from the merge instead of failing the request.
-                let mut attempt: u32 = 0;
-                let outcome = loop {
-                    let run = Self::rank_shard(shard, shared.params, &bag, mode, req.k);
-                    match run {
-                        Ok(scored) => break Ok(scored),
-                        Err(e) if attempt < retry.max_retries && e.is_transient_fault() => {
-                            attempt += 1;
-                            retries_total += 1;
-                            shared.health[i].retries.fetch_add(1, Ordering::Relaxed);
-                            shared.metrics.shard_retries.inc();
-                            shared.recorder.incr(Event::ShardRetry);
-                            std::thread::sleep(retry.backoff * attempt);
-                        }
-                        Err(e) => break Err(e),
-                    }
-                };
-                match outcome {
-                    Ok(scored) => {
-                        shared.health[i].consecutive_failures.store(0, Ordering::Relaxed);
-                        timings.push(ShardTiming {
-                            shard: i,
-                            micros: t.elapsed().as_micros() as u64,
-                            hits: scored.len(),
-                        });
-                        per_shard.push(scored);
-                    }
-                    Err(e) => {
-                        shared.health[i].failures.fetch_add(1, Ordering::Relaxed);
-                        shared.health[i].consecutive_failures.fetch_add(1, Ordering::Relaxed);
-                        missing_shards.push(i);
-                        last_err = Some(e);
-                    }
-                }
+        let qid = job.request.id.unwrap_or(job.seq);
+        let ev = pipeline::evaluate(&mut views, &job.request, qid, &driver);
+        for outcome in &ev.shards {
+            let health = &shared.health[outcome.timing.shard];
+            if outcome.retries > 0 {
+                health.retries.fetch_add(outcome.retries as u64, Ordering::Relaxed);
+                shared.metrics.shard_retries.add(outcome.retries as u64);
             }
-            if per_shard.is_empty() {
-                // Every shard failed: no partial answer to degrade to.
-                return Err(
-                    last_err.unwrap_or(CoreError::Unsupported("query service with zero shards"))
-                );
-            }
-            let merge_start = Instant::now();
-            let merged = daat::merge_topk(per_shard, req.k);
-            (merged, timings, merge_start.elapsed().as_micros() as u64)
-        } else if sharded {
-            return Err(CoreError::Unsupported("structured queries on a sharded engine"));
-        } else {
-            // Single shard: structured queries (and term-at-a-time mode
-            // overrides) run through the Evaluator over the shared view,
-            // where record statistics equal the global ones.
-            let shard = &shared.shards[0];
-            let t = Instant::now();
-            let mut view = shard.store.shared_view();
-            let mut ev =
-                Evaluator::new(&mut view, &shard.dict, &shard.docs, &shared.stop, shared.params);
-            if mode == ExecMode::BatchedPrefetch {
-                ev.prefetch(&parsed);
-            }
-            let scored = ev.rank(&parsed, req.k)?;
-            let timing = ShardTiming {
-                shard: 0,
-                micros: t.elapsed().as_micros() as u64,
-                hits: scored.len(),
-            };
-            (scored, vec![timing], 0)
-        };
-        let eval_micros: u64 = timings.iter().map(|t| t.micros).sum();
-        phase_micros[Phase::Evaluate as usize] = eval_micros;
-        phase_micros[Phase::Rank as usize] = merge_micros;
-        if let Some(budget) = req.deadline {
-            let elapsed = job.submitted.elapsed();
-            if elapsed > budget {
-                let partial = to_ranked(&shared.shards[0].docs, merged);
-                return Err(CoreError::DeadlineExceeded { budget, elapsed, partial });
+            if outcome.failed {
+                health.failures.fetch_add(1, Ordering::Relaxed);
+                health.consecutive_failures.fetch_add(1, Ordering::Relaxed);
+            } else {
+                health.consecutive_failures.store(0, Ordering::Relaxed);
             }
         }
-        let hits = to_ranked(&shared.shards[0].docs, merged);
-        // Event counters on a shared-recorder service are set-level, not
-        // per-query (see `QueryResponse::trace`); the per-request trace
-        // carries the phase timings only.
-        let trace = QueryTrace {
-            query: qid as usize,
-            results: hits.len(),
-            phase_micros,
-            events: [0; Event::COUNT],
-        };
-        // End-to-end from submission: queue wait + shard evaluation +
-        // merge, with everything else (parse, naming, scheduling gaps)
-        // in the residual.
-        let breakdown = LatencyBreakdown::from_parts(
-            qid,
-            queue_micros,
-            eval_micros,
-            merge_micros,
-            job.submitted.elapsed().as_micros() as u64,
-        );
-        let degraded = if missing_shards.is_empty() {
-            None
-        } else {
-            Some(Degraded { missing_shards, retries: retries_total })
-        };
-        Ok(QueryResponse {
-            hits,
-            shards: timings,
-            trace,
-            queue_micros,
-            mode,
-            breakdown,
-            degraded,
-            cached: false,
-        })
+        pipeline::respond(ev, &shared.shards[0].docs, queue_micros, job.submitted)
     }
 }
 
@@ -864,14 +701,6 @@ impl Drop for QueryService {
 /// and never revisits a value).
 fn store_epoch(shared: &ServiceShared) -> u64 {
     shared.shards.iter().map(|s| InvertedFileStore::store_epoch(&s.store)).sum()
-}
-
-/// Names every scored document from the (collection-wide) document table.
-fn to_ranked(docs: &DocTable, scored: Vec<ScoredDoc>) -> Vec<RankedResult> {
-    scored
-        .into_iter()
-        .map(|s| RankedResult { doc: s.doc, name: docs.info(s.doc).name.clone(), score: s.score })
-        .collect()
 }
 
 /// Typed snapshot of a running service's own metrics — the return type

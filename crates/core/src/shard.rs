@@ -17,18 +17,14 @@
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Instant;
 
-use poir_inquery::query::daat;
-use poir_inquery::Index;
+use poir_inquery::{BeliefParams, Dictionary, DocTable, Index, StopWords};
 use poir_storage::Device;
-use poir_telemetry::{Event, LatencyBreakdown, MetricsReport, Phase, QueryTrace, Recorder};
+use poir_telemetry::Recorder;
 
-use crate::engine::{
-    Engine, EngineParts, ExecMode, QueryRequest, QueryResponse, QuerySetReport, RankedResult,
-    ShardTiming,
-};
+use crate::engine::{self, Engine, QueryRequest, QueryResponse, QuerySetReport, RankedResult};
 use crate::error::{CoreError, Result};
+use crate::mneme_store::MnemeInvertedFile;
 
 /// Sharding layout: how many shards to split the collection into and how
 /// many service workers evaluate them.
@@ -86,14 +82,23 @@ impl FromStr for ShardSpec {
     }
 }
 
+/// One shard's read path as the query service holds it: shared by every
+/// worker, fetched through [`MnemeInvertedFile::shared_view`]. Stop words
+/// and belief parameters are builder-wide (shard 0's stand for all).
+pub(crate) struct ShardRuntime {
+    pub(crate) dict: Dictionary,
+    pub(crate) docs: DocTable,
+    pub(crate) stop: StopWords,
+    pub(crate) params: BeliefParams,
+    pub(crate) store: MnemeInvertedFile,
+}
+
 /// `N` per-range engines behind the unsharded [`Engine`]'s query
 /// interface. Built by
 /// [`EngineBuilder::build_sharded`](crate::EngineBuilder::build_sharded).
 pub struct ShardedEngine {
     spec: ShardSpec,
     shards: Vec<Engine>,
-    recorder: Recorder,
-    device: Arc<Device>,
 }
 
 impl fmt::Debug for ShardedEngine {
@@ -106,19 +111,11 @@ impl fmt::Debug for ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Bounded retry budget for a shard evaluation that raises a
-    /// transient storage fault (matches the service's default
-    /// [`RetryPolicy`](crate::service::RetryPolicy)).
-    pub const MAX_SHARD_RETRIES: u32 = 2;
-
-    pub(crate) fn from_shards(
-        spec: ShardSpec,
-        shards: Vec<Engine>,
-        recorder: Recorder,
-        device: Arc<Device>,
-    ) -> ShardedEngine {
+    /// `shards` (at least one) were built on one device and share one
+    /// recorder; the first shard's stand for all.
+    pub(crate) fn from_shards(spec: ShardSpec, shards: Vec<Engine>) -> ShardedEngine {
         debug_assert_eq!(spec.shards, shards.len());
-        ShardedEngine { spec, shards, recorder, device }
+        ShardedEngine { spec, shards }
     }
 
     /// The sharding layout this engine was built with.
@@ -133,12 +130,12 @@ impl ShardedEngine {
 
     /// The shared telemetry recorder (one instance across all shards).
     pub fn recorder(&self) -> &Recorder {
-        &self.recorder
+        self.shards[0].recorder()
     }
 
     /// The simulated device all shards run on.
     pub fn device(&self) -> &Arc<Device> {
-        &self.device
+        self.shards[0].device()
     }
 
     /// The store file handle behind shard `shard` — fault-injection and
@@ -154,211 +151,54 @@ impl ShardedEngine {
         Engine::builder(device).sharding(spec).build_sharded(index)
     }
 
-    /// Picks (and validates) the execution mode for a sharded request.
+    /// Runs one typed request across every shard through the evaluation
+    /// [pipeline](crate::pipeline) and merges the per-shard top `k` into
+    /// the global top `k` (bit-identical to the unsharded ranking; see the
+    /// module docs). One shard behaves exactly as [`Engine::execute`].
     ///
-    /// Sharded evaluation is document-at-a-time only: the term-at-a-time
-    /// [`Evaluator`](poir_inquery::Evaluator) reads document frequencies
-    /// from each shard's stored records, which hold shard-local counts —
-    /// its beliefs would silently diverge from the unsharded ranking. The
-    /// DAAT modes score from the dictionary's global statistics, so they
-    /// are exact; anything else is a typed error rather than a wrong
-    /// answer.
-    fn sharded_mode(&self, req: &QueryRequest) -> Result<ExecMode> {
-        match req.mode {
-            None => Ok(ExecMode::DaatPruned),
-            Some(m @ (ExecMode::Daat | ExecMode::DaatPruned)) => Ok(m),
-            Some(ExecMode::Serial | ExecMode::BatchedPrefetch) => {
-                Err(CoreError::Unsupported("term-at-a-time execution on a sharded engine"))
-            }
-        }
-    }
-
-    /// Runs one typed request across every shard and merges the per-shard
-    /// top `k` into the global top `k` (bit-identical to the unsharded
-    /// ranking; see the module docs).
-    ///
-    /// The request's deadline is checked between shards: shard 0 always
-    /// completes, and an expired budget at a later boundary returns
-    /// [`CoreError::DeadlineExceeded`] carrying the merge of the shards
-    /// that finished in time.
-    ///
-    /// Shard failures are isolated: a shard whose evaluation raises a
-    /// transient storage fault is retried up to
-    /// [`ShardedEngine::MAX_SHARD_RETRIES`] times (immediately — the
-    /// direct path has no backoff clock of its own); a shard that still
-    /// fails is dropped from the response and reported in
-    /// [`QueryResponse::degraded`] instead of failing the request. Only
-    /// when *every* shard fails does the request error.
+    /// Without a mode override a sharded collection ranks
+    /// [`DaatPruned`](crate::ExecMode::DaatPruned); term-at-a-time modes
+    /// and structured queries are typed errors on more than one shard. The
+    /// deadline (measured from entry; shard 0 always completes), the
+    /// bounded retry of transient storage faults (the default
+    /// [`RetryPolicy`](crate::RetryPolicy) budget, immediately — the direct
+    /// path has no backoff clock of its own) and the
+    /// [`QueryResponse::degraded`] partial when a shard still fails follow
+    /// the pipeline's [deadline, retry and degrade rule](crate::pipeline).
     pub fn execute(&mut self, req: &QueryRequest) -> Result<QueryResponse> {
-        if self.shards.len() == 1 {
-            return self.shards[0].execute(req);
-        }
-        let mode = self.sharded_mode(req)?;
-        let qid = req.id.unwrap_or(0);
-        // Structured queries cannot fall back to the term-at-a-time
-        // pipeline here (shard-local record statistics; see
-        // `sharded_mode`), so reject them before touching any shard.
-        let parsed = poir_inquery::parse_query(&req.text, self.shards[0].stop_words())?;
-        if daat::flatten_bag(&parsed).is_none() {
-            return Err(CoreError::Unsupported("structured queries on a sharded engine"));
-        }
-        let start = Instant::now();
-        let mut per_shard: Vec<Vec<poir_inquery::ScoredDoc>> = Vec::new();
-        let mut timings = Vec::new();
-        let mut phase_micros = [0u64; Phase::COUNT];
-        let mut events = [0u64; Event::COUNT];
-        let mut missing_shards = Vec::new();
-        let mut retries_total = 0u32;
-        let mut last_err = None;
-        for i in 0..self.shards.len() {
-            if i > 0 {
-                if let Some(budget) = req.deadline {
-                    let elapsed = start.elapsed();
-                    if elapsed > budget {
-                        let merged = daat::merge_topk(per_shard, req.k);
-                        let partial = self.shards[0].to_ranked_results(merged);
-                        return Err(CoreError::DeadlineExceeded { budget, elapsed, partial });
-                    }
-                }
-            }
-            let t = Instant::now();
-            let mut attempt = 0u32;
-            let outcome = loop {
-                match self.shards[i].run_one(qid as usize, &req.text, req.k, mode, true) {
-                    Ok(ok) => break Ok(ok),
-                    Err(e) if attempt < Self::MAX_SHARD_RETRIES && e.is_transient_fault() => {
-                        attempt += 1;
-                        retries_total += 1;
-                        self.recorder.incr(Event::ShardRetry);
-                    }
-                    Err(e) => break Err(e),
-                }
-            };
-            let (scored, trace) = match outcome {
-                Ok(pair) => pair,
-                Err(e) => {
-                    missing_shards.push(i);
-                    last_err = Some(e);
-                    continue;
-                }
-            };
-            timings.push(ShardTiming {
-                shard: i,
-                micros: t.elapsed().as_micros() as u64,
-                hits: scored.len(),
-            });
-            let trace = trace.expect("instrumented run returns a trace");
-            for (acc, v) in phase_micros.iter_mut().zip(trace.phase_micros) {
-                *acc += v;
-            }
-            for (acc, v) in events.iter_mut().zip(trace.events) {
-                *acc += v;
-            }
-            per_shard.push(scored);
-        }
-        if per_shard.is_empty() {
-            return Err(last_err.unwrap_or(CoreError::Unsupported("no shards evaluated")));
-        }
-        let degraded = if missing_shards.is_empty() {
-            None
-        } else {
-            self.recorder.incr(Event::DegradedResponse);
-            Some(crate::engine::Degraded { missing_shards, retries: retries_total })
-        };
-        let merge_start = Instant::now();
-        let merged = daat::merge_topk(per_shard, req.k);
-        let merge_micros = merge_start.elapsed().as_micros() as u64;
-        let hits = self.shards[0].to_ranked_results(merged);
-        let trace = QueryTrace { query: qid as usize, results: hits.len(), phase_micros, events };
-        let eval_micros = timings.iter().map(|t| t.micros).sum();
-        let breakdown = LatencyBreakdown::from_parts(
-            qid,
-            0,
-            eval_micros,
-            merge_micros,
-            start.elapsed().as_micros() as u64,
-        );
-        Ok(QueryResponse {
-            hits,
-            shards: timings,
-            trace,
-            queue_micros: 0,
-            mode,
-            breakdown,
-            degraded,
-            cached: false,
-        })
+        engine::execute_on(&mut self.shards, req)
     }
 
     /// Processes a query set in batch mode across the shards, reproducing
     /// the unsharded measurement procedure: chill the OS cache, run every
-    /// query (document-at-a-time with pruning), merge per-query rankings.
+    /// query through the [pipeline](crate::pipeline) (one shard: the
+    /// engine's configured mode; more:
+    /// [`DaatPruned`](crate::ExecMode::DaatPruned)), merge per-query
+    /// rankings.
     ///
     /// Telemetry is aggregated from **one** shared-recorder delta taken
     /// around the whole run — the shards share a single recorder, so
     /// summing per-shard snapshots would double-count device events;
     /// record lookups are summed from each shard's monotone store counter
     /// instead. Per-pool buffer statistics are per-store and are not
-    /// aggregated (`buffer_stats: None`).
+    /// aggregated (`buffer_stats: None` on more than one shard). As in
+    /// [`ShardedEngine::execute`], a shard that fails past the retry budget
+    /// is left out of that query's ranking; the set fails only when a
+    /// query loses every shard.
     pub fn run_query_set<S: AsRef<str>>(
         &mut self,
         queries: &[S],
         k: usize,
     ) -> Result<(QuerySetReport, Vec<Vec<RankedResult>>)> {
-        if self.shards.len() == 1 {
-            let mode = self.shards[0].exec_mode();
-            return self.shards[0].run_query_set_mode(queries, k, mode);
-        }
-        self.device.chill();
-        let lookups_before: u64 = self.shards.iter().map(|s| s.store_record_lookups()).sum();
-        let io_before = self.device.stats().snapshot();
-        let tel_before = self.recorder.snapshot();
-        let instrumented = self.recorder.is_enabled();
-        let mut rankings = Vec::with_capacity(queries.len());
-        let start = Instant::now();
-        for (qi, q) in queries.iter().enumerate() {
-            let mut per_shard = Vec::with_capacity(self.shards.len());
-            for shard in &mut self.shards {
-                let (scored, _) =
-                    shard.run_one(qi, q.as_ref(), k, ExecMode::DaatPruned, instrumented)?;
-                per_shard.push(scored);
-            }
-            rankings.push(daat::merge_topk(per_shard, k));
-        }
-        let engine_time = start.elapsed();
-        let io = self.device.stats().snapshot().since(&io_before);
-        let lookups_after: u64 = self.shards.iter().map(|s| s.store_record_lookups()).sum();
-        let record_lookups = lookups_after.saturating_sub(lookups_before);
-        let metrics = instrumented.then(|| {
-            let delta = self.recorder.snapshot().since(&tel_before);
-            let sim_io_micros = self.device.cost_model().charge_telemetry(&delta).as_micros();
-            MetricsReport {
-                queries: queries.len(),
-                delta,
-                traces: Vec::new(),
-                engine_micros: engine_time.as_micros() as u64,
-                sim_io_micros,
-            }
-        });
-        let report = QuerySetReport {
-            queries: queries.len(),
-            engine_time,
-            sys_io_time: self.device.cost_model().charge(&io),
-            io,
-            record_lookups,
-            buffer_stats: None,
-            metrics,
-        };
-        let rankings = rankings.into_iter().map(|r| self.shards[0].to_ranked_results(r)).collect();
-        Ok((report, rankings))
+        engine::run_set_on(&mut self.shards, queries, k, None)
     }
 
     /// Decomposes into per-shard worker-pool parts for the query service
     /// (Mneme backends only).
-    pub(crate) fn into_parts(self) -> Result<(ShardSpec, Vec<EngineParts>, Recorder, Arc<Device>)> {
-        let ShardedEngine { spec, shards, recorder, device } = self;
-        let parts = shards.into_iter().map(Engine::into_parts).collect::<Result<Vec<_>>>()?;
-        Ok((spec, parts, recorder, device))
+    pub(crate) fn into_parts(self) -> Result<(ShardSpec, Vec<ShardRuntime>, Recorder)> {
+        let recorder = self.recorder().clone();
+        let parts = self.shards.into_iter().map(Engine::into_parts).collect::<Result<Vec<_>>>()?;
+        Ok((self.spec, parts, recorder))
     }
 }
 

@@ -495,3 +495,158 @@ fn sharded_telemetry_aggregates_without_double_counting() {
         unsharded.run_query_set_mode(BAG_QUERIES, 10, ExecMode::DaatPruned).unwrap();
     assert!(report.record_lookups >= base_report.record_lookups);
 }
+
+/// What a driver answered, reduced to what must agree across drivers.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Hits(Vec<(u32, String, u64)>),
+    Unsupported,
+    DeadlineExceeded(Vec<(u32, String, u64)>),
+}
+
+fn outcome(result: Result<poir::core::QueryResponse, CoreError>) -> (Outcome, Option<ExecMode>) {
+    match result {
+        Ok(resp) => (Outcome::Hits(keyed(&resp.hits)), Some(resp.mode)),
+        Err(CoreError::Unsupported(_)) => (Outcome::Unsupported, None),
+        Err(CoreError::DeadlineExceeded { partial, .. }) => {
+            (Outcome::DeadlineExceeded(keyed(&partial)), None)
+        }
+        Err(other) => panic!("unexpected error variant: {other}"),
+    }
+}
+
+/// The cross-driver differential: `Engine::execute` (one shard only),
+/// `ShardedEngine::execute` and `QueryService::query` run one evaluation
+/// pipeline, so the same request must produce the same hits (doc, name,
+/// score bits) or the same error variant from each, and the mode that ran
+/// must be the override when the request carries one and the driver's
+/// documented default otherwise. The engines are built with `Daat` as
+/// their default — bit-identical to the service's `DaatPruned`, but a
+/// different name, so a driver reporting the wrong default is visible.
+#[test]
+fn every_driver_agrees_on_every_request_shape() {
+    let index = build_index(240);
+    for shards in [1usize, 4] {
+        let builder = || Engine::builder(&device()).exec_mode(ExecMode::Daat);
+        let mut engine = (shards == 1).then(|| builder().build(index.clone()).unwrap());
+        let mut sharded =
+            builder().sharding(ShardSpec::new(shards, 2)).build_sharded(index.clone()).unwrap();
+        let service =
+            builder().sharding(ShardSpec::new(shards, 2)).build_service(index.clone()).unwrap();
+        let engine_default = if shards == 1 { ExecMode::Daat } else { ExecMode::DaatPruned };
+
+        // (request, needs the term-at-a-time tree walk)
+        let mut cases: Vec<(QueryRequest, bool)> =
+            BAG_QUERIES.iter().map(|q| (QueryRequest::new(*q, 10), false)).collect();
+        cases.push((QueryRequest::new("nosuchterm", 10), false));
+        cases.push((QueryRequest::new("w3 nosuchterm w17", 10), false));
+        cases.push((QueryRequest::new("w3 w17 w50", 0), false));
+        cases.push((QueryRequest::new("#and(w3 w17)", 10), true));
+        for mode in
+            [ExecMode::Serial, ExecMode::BatchedPrefetch, ExecMode::Daat, ExecMode::DaatPruned]
+        {
+            let taat = matches!(mode, ExecMode::Serial | ExecMode::BatchedPrefetch);
+            cases.push((QueryRequest::new("w3 w17 w50", 10).mode(mode), taat));
+        }
+
+        for (req, tree) in &cases {
+            let context = format!("N={shards} {req:?}");
+            let (from_sharded, sharded_mode) = outcome(sharded.execute(req));
+            let (from_service, service_mode) = outcome(service.query(req.clone()));
+            assert_eq!(from_sharded, from_service, "{context}: sharded engine vs service");
+            if *tree && shards > 1 {
+                assert_eq!(from_sharded, Outcome::Unsupported, "{context}");
+                continue;
+            }
+            let Outcome::Hits(hits) = &from_sharded else {
+                panic!("{context}: expected a ranking, got {from_sharded:?}");
+            };
+            let expect_hits = req.k > 0 && req.text != "nosuchterm";
+            assert_eq!(!hits.is_empty(), expect_hits, "{context}");
+            assert_eq!(sharded_mode, Some(req.mode.unwrap_or(engine_default)), "{context}");
+            assert_eq!(service_mode, Some(req.mode.unwrap_or(ExecMode::DaatPruned)), "{context}");
+            if let Some(engine) = engine.as_mut() {
+                let (from_engine, engine_mode) = outcome(engine.execute(req));
+                assert_eq!(from_engine, from_sharded, "{context}: engine vs sharded engine");
+                assert_eq!(engine_mode, Some(req.mode.unwrap_or(ExecMode::Daat)), "{context}");
+            }
+        }
+
+        // One deadline rule, three origins: the engines measure from
+        // `execute` entry and always finish shard 0 (one shard: the full
+        // ranking; four: shard 0's partial), the service measures from
+        // submission and drops an expired request at dequeue.
+        let full = keyed(&sharded.execute(&QueryRequest::new("w0 w1 w2", 10)).unwrap().hits);
+        let expired = QueryRequest::new("w0 w1 w2", 10).deadline(Duration::ZERO);
+        let (from_sharded, _) = outcome(sharded.execute(&expired));
+        let Outcome::DeadlineExceeded(partial) = &from_sharded else {
+            panic!("N={shards}: expected DeadlineExceeded, got {from_sharded:?}");
+        };
+        assert!(!partial.is_empty(), "N={shards}: shard 0 always completes");
+        if shards == 1 {
+            assert_eq!(partial, &full, "one shard: the partial is the full ranking");
+            let (from_engine, _) = outcome(engine.as_mut().unwrap().execute(&expired));
+            assert_eq!(from_engine, from_sharded, "engine vs one-shard sharded engine");
+        } else {
+            let shard0_docs = 240 / shards as u32;
+            assert!(partial.iter().all(|(doc, ..)| *doc < shard0_docs), "N={shards}: {partial:?}");
+        }
+        let (from_service, _) = outcome(service.query(expired));
+        assert_eq!(from_service, Outcome::DeadlineExceeded(Vec::new()), "N={shards}: service");
+        service.shutdown();
+    }
+}
+
+/// Decode telemetry is recorded once, by the pipeline, whichever driver
+/// runs: the same requests through `ShardedEngine::execute` and through
+/// `QueryService::query` on equally built instances must move the
+/// work-avoidance and dictionary counters by the same amounts (the service
+/// path used to drop them all), and the service's trace must carry the
+/// aggregate decode slices.
+#[test]
+fn service_records_the_same_decode_telemetry_as_the_sharded_engine() {
+    // 750 documents per shard put the common terms well past one
+    // 128-posting block, so records are bit-packed and pruning has blocks
+    // to skip.
+    let index = build_index(1500);
+    let builder = || {
+        Engine::builder(&device())
+            .telemetry(TelemetryOptions::tracing(1 << 16))
+            .sharding(ShardSpec::new(2, 2))
+    };
+    let mut sharded = builder().build_sharded(index.clone()).unwrap();
+    let service = builder().build_service(index).unwrap();
+    let requests: Vec<QueryRequest> = BAG_QUERIES
+        .iter()
+        .flat_map(|q| [QueryRequest::new(*q, 3), QueryRequest::new(*q, 10).mode(ExecMode::Daat)])
+        .collect();
+
+    let before = sharded.recorder().snapshot();
+    for req in &requests {
+        sharded.execute(req).unwrap();
+    }
+    let direct = sharded.recorder().snapshot().since(&before);
+    let before = service.recorder().snapshot();
+    for req in &requests {
+        service.query(req.clone()).unwrap();
+    }
+    let served = service.recorder().snapshot().since(&before);
+
+    for event in [
+        Event::PostingsDecoded,
+        Event::PostingsSkipped,
+        Event::BlocksSkipped,
+        Event::BytesDecoded,
+        Event::BlocksBitpacked,
+        Event::DictLookup,
+    ] {
+        assert_eq!(served.get(event), direct.get(event), "{event:?} differs between drivers");
+    }
+    assert!(direct.get(Event::PostingsDecoded) > 0);
+    assert!(direct.get(Event::BlocksBitpacked) > 0, "index too small for bit-packed blocks");
+    assert!(direct.get(Event::DictLookup) > 0);
+    let tracer = service.recorder().tracer().expect("tracing enabled");
+    let ops: Vec<_> = tracer.records().iter().map(|r| r.op).collect();
+    assert!(ops.contains(&poir::telemetry::TraceOp::BlockDecode), "no block_decode slice");
+    service.shutdown();
+}
