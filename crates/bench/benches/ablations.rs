@@ -313,7 +313,7 @@ fn ablation_compression() {
 }
 
 fn ablation_buffer_policy() {
-    println!("## Ablation 7: buffer replacement policy — LRU vs. clock vs. S3-FIFO");
+    println!("## Ablation 7: buffer replacement policy — LRU vs. S3-FIFO");
     // The conclusions invite investigating "other store and buffer
     // organizations"; every policy implements the same Buffer trait. Two
     // traces: the plain QS1 replay (each query once — a scan-ish sweep),
@@ -376,7 +376,7 @@ fn ablation_buffer_policy() {
     for (label, trace) in [("QS1 once-through", &qs1), ("Zipfian repeated (s=1)", &zipf)] {
         println!("{label}:");
         println!("{:>10} {:>8} {:>8} {:>8}", "Policy", "Refs", "Hits", "Rate");
-        for policy in ["lru", "clock", "s3fifo"] {
+        for policy in ["lru", "s3fifo"] {
             let (refs, hits) = replay(policy, trace);
             println!(
                 "{:>10} {:>8} {:>8} {:>8.3}",

@@ -1,6 +1,6 @@
 //! Block-decode microbenchmarks: the v1 all-vbyte posting layout against
 //! the v2 bit-packed layout, at the codec level (one batch of values) and
-//! through `BlockCursor` streaming (whole records, both layouts decoded by
+//! through `BlockCursor` streaming (whole lists, both layouts decoded by
 //! the same cursor). Run with one iteration in CI as a smoke check:
 //!
 //! ```text
@@ -21,46 +21,6 @@ fn make_record(df: u32) -> InvertedRecord {
             })
             .collect(),
     )
-}
-
-/// The pre-v2 blocked writer (mirrors the pinned fallback in the postings
-/// tests): vbyte header, 3-field directory, interleaved vbyte postings.
-fn encode_v1_blocked(r: &InvertedRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec::encode_vbyte(r.df(), &mut out);
-    codec::encode_vbyte(r.cf.min(u32::MAX as u64) as u32, &mut out);
-    codec::encode_vbyte(r.max_tf, &mut out);
-    let mut body = Vec::new();
-    let mut directory = Vec::new();
-    let mut prev_doc = 0u32;
-    let mut first = true;
-    for chunk in r.postings.chunks(BLOCK_SIZE as usize) {
-        let start = body.len();
-        let mut block_max_tf = 0u32;
-        for p in chunk {
-            let gap = if first { p.doc.0 } else { p.doc.0 - prev_doc };
-            first = false;
-            prev_doc = p.doc.0;
-            codec::encode_vbyte(gap, &mut body);
-            codec::encode_vbyte(p.tf, &mut body);
-            let mut prev_pos = 0u32;
-            for (j, &pos) in p.positions.iter().enumerate() {
-                codec::encode_vbyte(if j == 0 { pos } else { pos - prev_pos }, &mut body);
-                prev_pos = pos;
-            }
-            block_max_tf = block_max_tf.max(p.tf);
-        }
-        directory.push((chunk[chunk.len() - 1].doc.0, body.len() - start, block_max_tf));
-    }
-    let mut prev_last = 0u32;
-    for (i, &(last_doc, len, block_max_tf)) in directory.iter().enumerate() {
-        codec::encode_vbyte(if i == 0 { last_doc } else { last_doc - prev_last }, &mut out);
-        prev_last = last_doc;
-        codec::encode_vbyte(len as u32, &mut out);
-        codec::encode_vbyte(block_max_tf, &mut out);
-    }
-    out.extend_from_slice(&body);
-    out
 }
 
 /// One batch of doc-gap-sized values decoded by both codecs. 64 and 128
@@ -101,24 +61,34 @@ fn bench_batch_decode(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole-record doc/tf streaming through `BlockCursor`, which decodes both
-/// layouts: the relative numbers are the codec difference alone.
+/// Whole-list doc/tf streaming through `BlockCursor`, which decodes both
+/// layouts: the bit-packed arm is one v2 record, the vbyte arm the same
+/// postings as one v1 record per `BLOCK_SIZE` chunk (v1 holds no more; its
+/// three header fields per chunk stand in for a directory entry), so the
+/// relative numbers are the codec difference alone.
 fn bench_cursor_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode_block");
     for df in [512u32, 4096, 32_768] {
         let record = make_record(df);
-        let v1 = encode_v1_blocked(&record);
-        let v2 = record.encode();
-        assert!(v2.len() < v1.len(), "packed blocks must also be smaller");
+        let v1: Vec<Vec<u8>> = record
+            .postings
+            .chunks(BLOCK_SIZE as usize)
+            .map(|chunk| InvertedRecord::from_postings(chunk.to_vec()).encode())
+            .collect();
+        let v2 = vec![record.encode()];
+        let size = |records: &[Vec<u8>]| records.iter().map(Vec::len).sum::<usize>();
+        assert!(size(&v2) < size(&v1), "packed blocks must also be smaller");
 
         group.throughput(Throughput::Elements(df as u64));
-        for (label, bytes) in [("vbyte", &v1), ("bitpacked", &v2)] {
-            group.bench_with_input(BenchmarkId::new(label, df), bytes, |b, bytes| {
+        for (label, records) in [("vbyte", &v1), ("bitpacked", &v2)] {
+            group.bench_with_input(BenchmarkId::new(label, df), records, |b, records| {
                 b.iter(|| {
-                    let (mut cur, ..) = BlockCursor::open(bytes).unwrap();
                     let mut checksum = 0u64;
-                    while let Some((d, tf)) = cur.next_doc_tf(bytes) {
-                        checksum += (d.0 + tf) as u64;
+                    for bytes in records {
+                        let (mut cur, ..) = BlockCursor::open(bytes).unwrap();
+                        while let Some((d, tf)) = cur.next_doc_tf(bytes) {
+                            checksum += (d.0 + tf) as u64;
+                        }
                     }
                     black_box(checksum)
                 });

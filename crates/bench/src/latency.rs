@@ -1,7 +1,7 @@
 //! Sustained-load latency harness for the sharded query service.
 //!
 //! Closed-loop load generation: `clients` threads each keep exactly one
-//! request in flight against a [`QueryService`], drawing query texts
+//! request in flight against a [`poir_core::QueryService`], drawing query texts
 //! round-robin from the workload's set until the level's query budget is
 //! spent. Each level reports completed/rejected counts, throughput, and
 //! the p50/p95/p99 latency of successful requests, all in **host** time

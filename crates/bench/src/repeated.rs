@@ -18,7 +18,7 @@
 //! rankings.
 //!
 //! The run also replays the same trace's term-fetch sequence against each
-//! segment-buffer replacement policy (LRU, clock, S3-FIFO) and reports
+//! segment-buffer replacement policy (LRU, S3-FIFO) and reports
 //! per-policy buffer hit rates, the tier-1 ablation table.
 
 use std::time::Instant;
@@ -52,7 +52,7 @@ pub const SPEEDUP_FLOOR: f64 = 1.3;
 
 /// One replacement policy's buffer behaviour under the repeated trace.
 pub struct PolicyHitRate {
-    /// Policy name ("lru", "clock", "s3fifo").
+    /// Policy name ("lru", "s3fifo").
     pub policy: String,
     /// Segment-buffer references during the replay.
     pub refs: u64,
@@ -179,7 +179,7 @@ fn policy_table(workload: &Workload, trace: &[usize]) -> Vec<PolicyHitRate> {
         .collect();
     let largest = workload.index.record_sizes().into_iter().max().unwrap_or(1);
     let sizes = paper_heuristic(largest, 8192);
-    [BufferPolicy::Lru, BufferPolicy::Clock, BufferPolicy::S3Fifo]
+    [BufferPolicy::Lru, BufferPolicy::S3Fifo]
         .into_iter()
         .map(|policy| {
             let device = paper_device();

@@ -193,35 +193,6 @@ impl SyntheticCollection {
     pub fn documents(&self) -> impl Iterator<Item = Document> + '_ {
         (0..self.spec.num_docs).map(move |i| self.document(i))
     }
-
-    /// The contiguous document-id range owned by horizontal shard `shard`
-    /// of `shards` (see [`shard_ranges`]).
-    pub fn shard_range(&self, shard: usize, shards: usize) -> std::ops::Range<usize> {
-        let ranges = shard_ranges(self.spec.num_docs, shards);
-        ranges[shard.min(ranges.len() - 1)].clone()
-    }
-
-    /// Iterates the documents of one horizontal shard, in order. Because
-    /// every document is generated independently and deterministically,
-    /// shard corpora can be produced in parallel without materialising the
-    /// whole collection.
-    pub fn shard_documents(
-        &self,
-        shard: usize,
-        shards: usize,
-    ) -> impl Iterator<Item = Document> + '_ {
-        self.shard_range(shard, shards).map(move |i| self.document(i))
-    }
-}
-
-/// Contiguous document-id ranges carving `num_docs` documents into
-/// `shards` near-equal horizontal slices: shard `s` owns
-/// `[s·D/N, (s+1)·D/N)`. This is the canonical corpus split mirrored by
-/// the index-side `Index::split_shards`, so a shard's corpus and its
-/// inverted-record slice cover exactly the same documents.
-pub fn shard_ranges(num_docs: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    let n = shards.max(1);
-    (0..n).map(|s| s * num_docs / n..(s + 1) * num_docs / n).collect()
 }
 
 #[cfg(test)]
@@ -279,17 +250,5 @@ mod tests {
     fn names_are_stable_and_prefixed() {
         let c = SyntheticCollection::new(CollectionSpec::tiny(2));
         assert_eq!(c.document(7).name, "TINY-000007");
-    }
-
-    #[test]
-    fn shard_documents_tile_the_collection() {
-        let c = SyntheticCollection::new(CollectionSpec::tiny(11));
-        let ranges = shard_ranges(200, 3);
-        assert_eq!(ranges, vec![0..66, 66..133, 133..200]);
-        let whole: Vec<String> = c.documents().map(|d| d.name).collect();
-        let stitched: Vec<String> =
-            (0..3).flat_map(|s| c.shard_documents(s, 3).map(|d| d.name)).collect();
-        assert_eq!(stitched, whole, "shard corpora concatenate to the full collection");
-        assert_eq!(c.shard_range(1, 3), 66..133);
     }
 }

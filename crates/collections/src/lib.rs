@@ -21,7 +21,7 @@ pub mod relevance;
 pub mod words;
 pub mod zipf;
 
-pub use generator::{shard_ranges, CollectionSpec, Document, SyntheticCollection};
+pub use generator::{CollectionSpec, Document, SyntheticCollection};
 pub use presets::{all as paper_collections, cacm, legal, tipster, tipster1, PaperCollection};
 pub use queries::{generate as generate_queries, GeneratedQuery, QuerySetSpec, QueryStyle};
 pub use relevance::judgments_for;

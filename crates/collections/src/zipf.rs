@@ -56,15 +56,6 @@ impl Zipf {
         let u: f64 = rng.gen();
         self.cumulative.partition_point(|&c| c < u).min(self.cumulative.len() - 1)
     }
-
-    /// Probability mass of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cumulative[0]
-        } else {
-            self.cumulative[k] - self.cumulative[k - 1]
-        }
-    }
 }
 
 /// An analytic power-law ("continuous Zipf") sampler over ranks `0..n`.
@@ -153,13 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn pmf_sums_to_one_and_decreases() {
+    fn mass_sums_to_one_and_decreases() {
         let z = Zipf::new(100, 1.2);
-        let total: f64 = (0..100).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        for k in 1..100 {
-            assert!(z.pmf(k) <= z.pmf(k - 1) + 1e-12);
-        }
+        let c: Vec<f64> = std::iter::once(0.0).chain(z.cumulative.iter().copied()).collect();
+        assert!((c[100] - 1.0).abs() < 1e-9);
+        assert!(c.windows(3).all(|w| w[2] - w[1] <= w[1] - w[0] + 1e-12));
         assert_eq!(z.len(), 100);
         assert!(!z.is_empty());
     }

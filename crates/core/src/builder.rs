@@ -27,8 +27,7 @@
 
 use std::sync::Arc;
 
-use poir_btree::BTreeConfig;
-use poir_inquery::{BeliefParams, BlockCache, Index, StopWords};
+use poir_inquery::{BlockCache, Index};
 use poir_mneme::BufferPolicy;
 use poir_storage::{Device, FileHandle};
 use poir_telemetry::TelemetryOptions;
@@ -38,7 +37,6 @@ use poir_telemetry::Recorder;
 use crate::buffer_sizing::BufferSizes;
 use crate::engine::{BackendKind, Engine, ExecMode};
 use crate::error::Result;
-use crate::mneme_store::MnemeOptions;
 use crate::service::{QueryService, ServiceConfig};
 use crate::shard::{ShardSpec, ShardedEngine};
 
@@ -50,11 +48,6 @@ pub struct EngineBuilder {
     pub(crate) exec_mode: ExecMode,
     pub(crate) buffers: Option<BufferSizes>,
     pub(crate) telemetry: TelemetryOptions,
-    pub(crate) stop: StopWords,
-    pub(crate) params: BeliefParams,
-    pub(crate) reservation: bool,
-    pub(crate) mneme: MnemeOptions,
-    pub(crate) btree: BTreeConfig,
     pub(crate) sharding: ShardSpec,
     pub(crate) shared_recorder: Option<Recorder>,
     pub(crate) service: ServiceConfig,
@@ -71,11 +64,6 @@ impl EngineBuilder {
             exec_mode: ExecMode::Serial,
             buffers: None,
             telemetry: TelemetryOptions::off(),
-            stop: StopWords::default(),
-            params: BeliefParams::default(),
-            reservation: true,
-            mneme: MnemeOptions::default(),
-            btree: BTreeConfig::default(),
             sharding: ShardSpec::default(),
             shared_recorder: None,
             service: ServiceConfig::default(),
@@ -109,37 +97,6 @@ impl EngineBuilder {
     /// Telemetry switches (default: [`TelemetryOptions::off`]).
     pub fn telemetry(mut self, options: TelemetryOptions) -> Self {
         self.telemetry = options;
-        self
-    }
-
-    /// Stop-word list (default: the INQUERY list with stemming).
-    pub fn stop_words(mut self, stop: StopWords) -> Self {
-        self.stop = stop;
-        self
-    }
-
-    /// Belief-function parameters (default: the paper's).
-    pub fn belief_params(mut self, params: BeliefParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Pre-evaluation buffer reservation (default: enabled; the off
-    /// setting exists for the ablation study).
-    pub fn reservation(mut self, enabled: bool) -> Self {
-        self.reservation = enabled;
-        self
-    }
-
-    /// Mneme build options: medium segment size, directory buckets.
-    pub fn mneme_options(mut self, options: MnemeOptions) -> Self {
-        self.mneme = options;
-        self
-    }
-
-    /// B-tree build options: page size, node-cache capacity.
-    pub fn btree_config(mut self, config: BTreeConfig) -> Self {
-        self.btree = config;
         self
     }
 

@@ -18,6 +18,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use poir_btree::BTreeConfig;
 use poir_inquery::query::daat;
 use poir_inquery::{
     BeliefParams, BlockCache, Dictionary, DocId, DocTable, Evaluator, Index, InvertedFileStore,
@@ -31,8 +32,7 @@ use crate::btree_store::BTreeInvertedFile;
 use crate::buffer_sizing::{paper_heuristic, BufferSizes};
 use crate::builder::EngineBuilder;
 use crate::error::{CoreError, Result};
-use crate::instrument::StoreInstrumentation;
-use crate::mneme_store::MnemeInvertedFile;
+use crate::mneme_store::{MnemeInvertedFile, MnemeOptions};
 use crate::pipeline::{self, Driver, ShardView};
 use crate::service::RetryPolicy;
 use crate::shard::ShardRuntime;
@@ -150,17 +150,44 @@ impl StoreImpl {
         }
     }
 
-    fn as_instrumented(&self) -> &dyn StoreInstrumentation {
+    /// Attaches a telemetry recorder to the store and its substrate
+    /// (B-tree node cache or Mneme pool buffers).
+    fn attach_recorder(&mut self, recorder: Recorder) {
         match self {
-            StoreImpl::BTree(s) => s,
-            StoreImpl::Mneme(s) => s,
+            StoreImpl::BTree(s) => s.attach_recorder(recorder),
+            StoreImpl::Mneme(s) => s.attach_recorder(recorder),
         }
     }
 
-    fn as_instrumented_mut(&mut self) -> &mut dyn StoreInstrumentation {
+    /// Inverted-record lookups performed so far.
+    fn record_lookups(&self) -> u64 {
         match self {
-            StoreImpl::BTree(s) => s,
-            StoreImpl::Mneme(s) => s,
+            StoreImpl::BTree(s) => InvertedFileStore::record_lookups(s),
+            StoreImpl::Mneme(s) => InvertedFileStore::record_lookups(s),
+        }
+    }
+
+    /// Per-pool buffer statistics (small, medium, large); `None` for the
+    /// unbuffered B-tree backend.
+    fn buffer_stats(&self) -> Result<Option<[BufferStats; 3]>> {
+        match self {
+            StoreImpl::BTree(_) => Ok(None),
+            StoreImpl::Mneme(s) => s.buffer_stats().map(Some),
+        }
+    }
+
+    /// Resets buffer statistics between query sets (no-op when unbuffered).
+    fn reset_buffer_stats(&self) {
+        if let StoreImpl::Mneme(s) = self {
+            s.reset_buffer_stats();
+        }
+    }
+
+    /// Total on-disk size in bytes.
+    fn file_size(&self) -> Result<u64> {
+        match self {
+            StoreImpl::BTree(s) => Ok(s.file_size()),
+            StoreImpl::Mneme(s) => s.file_size(),
         }
     }
 }
@@ -415,14 +442,14 @@ impl Engine {
         let store = match b.backend {
             BackendKind::BTree => StoreImpl::BTree(BTreeInvertedFile::build(
                 handle.clone(),
-                b.btree.clone(),
+                BTreeConfig::default(),
                 &records,
                 &mut dictionary,
             )?),
             BackendKind::MnemeNoCache | BackendKind::MnemeCache => {
                 StoreImpl::Mneme(MnemeInvertedFile::build(
                     handle.clone(),
-                    b.mneme.clone(),
+                    MnemeOptions::default(),
                     &records,
                     &mut dictionary,
                 )?)
@@ -462,18 +489,18 @@ impl Engine {
             b.shared_recorder.clone().unwrap_or_else(|| Self::recorder_for(&b.telemetry));
         if recorder.is_enabled() {
             b.device.attach_recorder(recorder.clone());
-            store.as_instrumented_mut().attach_recorder(recorder.clone());
+            store.attach_recorder(recorder.clone());
         }
         Ok(Engine {
             device: b.device,
             backend,
             dict,
             docs,
-            stop: b.stop,
-            params: b.params,
+            stop: StopWords::default(),
+            params: BeliefParams::default(),
             store,
             store_handle,
-            reserve_enabled: b.reservation,
+            reserve_enabled: true,
             exec_mode: b.exec_mode,
             recorder,
             trace_queries: b.telemetry.trace_queries,
@@ -489,11 +516,6 @@ impl Engine {
     /// The default I/O scheduling mode used by [`Engine::run_query_set`].
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
-    }
-
-    /// Overrides the default I/O scheduling mode.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
     }
 
     /// The engine's telemetry recorder (disabled unless the engine was
@@ -576,7 +598,7 @@ impl Engine {
 
     /// Size of the inverted file on disk (Table 1's size columns).
     pub fn store_file_size(&mut self) -> Result<u64> {
-        self.store.as_instrumented().file_size()
+        self.store.file_size()
     }
 
     /// Overrides the Mneme buffer sizes (Figure 3's sweep). Errors on the
@@ -760,8 +782,10 @@ impl Engine {
         let raw_tokens =
             text.split(|c: char| !c.is_ascii_alphanumeric()).filter(|t| !t.is_empty()).count();
         let doc = self.docs.push(name.to_string(), raw_tokens as u32);
-        let mut by_term: std::collections::HashMap<String, Vec<u32>> =
-            std::collections::HashMap::new();
+        // Ascending term order, not hash order: which record relocates to
+        // end-of-file first decides the file's size and bytes written.
+        let mut by_term: std::collections::BTreeMap<String, Vec<u32>> =
+            std::collections::BTreeMap::new();
         for (token, pos) in poir_inquery::tokenize(text, &self.stop) {
             by_term.entry(token).or_default().push(pos);
         }
@@ -887,7 +911,7 @@ impl Engine {
         let store = match backend {
             BackendKind::BTree => StoreImpl::BTree(BTreeInvertedFile::open(
                 store_handle.clone(),
-                b.btree.cache_nodes,
+                BTreeConfig::default().cache_nodes,
             )?),
             BackendKind::MnemeNoCache | BackendKind::MnemeCache => {
                 StoreImpl::Mneme(MnemeInvertedFile::open(store_handle.clone(), largest)?)
@@ -945,14 +969,13 @@ fn measure_set<R>(
     queries: usize,
     run: impl FnOnce(&mut [Engine]) -> Result<(R, Vec<QueryTrace>)>,
 ) -> Result<(QuerySetReport, R)> {
-    let lookups = |engines: &[Engine]| -> u64 {
-        engines.iter().map(|e| e.store.as_instrumented().record_lookups()).sum()
-    };
+    let lookups =
+        |engines: &[Engine]| -> u64 { engines.iter().map(|e| e.store.record_lookups()).sum() };
     let device = Arc::clone(&engines[0].device);
     let recorder = engines[0].recorder.clone();
     device.chill();
     for engine in engines.iter() {
-        engine.store.as_instrumented().reset_buffer_stats();
+        engine.store.reset_buffer_stats();
     }
     let lookups_before = lookups(engines);
     let io_before = device.stats().snapshot();
@@ -965,7 +988,7 @@ fn measure_set<R>(
     // as "no lookups", not underflow.
     let record_lookups = lookups(engines).saturating_sub(lookups_before);
     let buffer_stats = match engines {
-        [engine] => engine.store.as_instrumented().buffer_stats()?,
+        [engine] => engine.store.buffer_stats()?,
         _ => None,
     };
     // The telemetry-derived report: raw counter deltas, per-query traces,

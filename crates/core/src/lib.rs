@@ -29,9 +29,7 @@ pub mod builder;
 pub mod chunked;
 pub mod engine;
 pub mod error;
-pub mod instrument;
 pub mod mneme_store;
-pub mod multi_file;
 mod pipeline;
 pub mod result_cache;
 pub mod service;
@@ -45,11 +43,9 @@ pub use engine::{
     QuerySetReport, RankedResult, ShardTiming,
 };
 pub use error::{CoreError, Result};
-pub use instrument::StoreInstrumentation;
 pub use mneme_store::{
     pool_for, pool_for_with, MnemeInvertedFile, MnemeOptions, SharedMnemeView, LARGE_MIN, SMALL_MAX,
 };
-pub use multi_file::{MultiFileInvertedFile, MultiFileOptions};
 pub use poir_telemetry::{
     Attribution, BufferResidencyReport, LatencyBreakdown, LatencySummary, MetricsRegistry,
     MetricsReport, QueryTrace, RegistrySnapshot, SlowQueryRecord, TelemetryOptions, TraceOp,

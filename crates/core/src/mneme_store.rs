@@ -81,14 +81,14 @@ pub fn pool_for_with(len: usize, large_min: usize) -> PoolId {
 
 /// Converts a Mneme payload into the store boundary's byte type without
 /// copying: shared cache slices stay shared, owned reads stay owned.
-pub(crate) fn to_record_bytes(bytes: ObjectBytes) -> RecordBytes {
+fn to_record_bytes(bytes: ObjectBytes) -> RecordBytes {
     match bytes {
         ObjectBytes::Owned(v) => RecordBytes::Owned(v),
         ObjectBytes::Shared { buf, start, end } => RecordBytes::Shared { buf, start, end },
     }
 }
 
-pub(crate) fn pool_configs(medium_segment: usize) -> Vec<PoolConfig> {
+fn pool_configs(medium_segment: usize) -> Vec<PoolConfig> {
     vec![
         PoolConfig { id: SMALL_POOL, kind: PoolKindConfig::Small },
         PoolConfig {
@@ -303,14 +303,6 @@ impl MnemeInvertedFile {
         self.epoch.fetch_add(1, Ordering::Relaxed);
         let id = self.file.create_object(pool_for_with(bytes.len(), self.large_min), bytes)?;
         Ok(id.raw() as u64)
-    }
-
-    /// Deletes a record.
-    pub fn delete_record(&mut self, store_ref: u64) -> Result<()> {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        let id = Self::object_id(store_ref)?;
-        self.file.delete(id)?;
-        Ok(())
     }
 }
 
@@ -635,12 +627,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_delete_records() {
+    fn inserted_records_are_fetchable() {
         let (mut store, ..) = built_store();
         let r = store.insert_record(&[3u8; 50]).unwrap();
         assert_eq!(store.fetch(r).unwrap(), vec![3u8; 50]);
-        store.delete_record(r).unwrap();
-        assert!(store.fetch(r).is_err());
     }
 
     #[test]

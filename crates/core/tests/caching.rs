@@ -172,7 +172,7 @@ fn buffer_policies_agree_on_rankings() {
         let mut e = Engine::builder(&dev).build(build_index(150)).unwrap();
         e.query("w3 w17 w50", 20).unwrap()
     };
-    for policy in [BufferPolicy::Lru, BufferPolicy::Clock, BufferPolicy::S3Fifo] {
+    for policy in [BufferPolicy::Lru, BufferPolicy::S3Fifo] {
         let dev = device();
         let mut e = Engine::builder(&dev).buffer_policy(policy).build(build_index(150)).unwrap();
         let got = e.query("w3 w17 w50", 20).unwrap();

@@ -41,48 +41,6 @@ pub fn decode_vbyte(bytes: &[u8], pos: &mut usize) -> Option<u32> {
     }
 }
 
-/// Encodes a strictly ascending sequence as vbyte-coded deltas (first value
-/// absolute, then gaps).
-pub fn encode_ascending(values: &[u32], out: &mut Vec<u8>) {
-    let mut prev = 0u32;
-    for (i, &v) in values.iter().enumerate() {
-        if i == 0 {
-            encode_vbyte(v, out);
-        } else {
-            debug_assert!(v > prev, "sequence must be strictly ascending");
-            encode_vbyte(v - prev, out);
-        }
-        prev = v;
-    }
-}
-
-/// Decodes `count` delta-coded values written by [`encode_ascending`].
-pub fn decode_ascending(bytes: &[u8], pos: &mut usize, count: usize) -> Option<Vec<u32>> {
-    let mut out = Vec::with_capacity(count);
-    decode_ascending_into(bytes, pos, count, &mut out)?;
-    Some(out)
-}
-
-/// Decodes `count` delta-coded values into a caller-owned scratch buffer,
-/// clearing it first. The cursor hot path reuses one buffer across calls
-/// instead of allocating a fresh `Vec` per posting.
-pub fn decode_ascending_into(
-    bytes: &[u8],
-    pos: &mut usize,
-    count: usize,
-    out: &mut Vec<u32>,
-) -> Option<()> {
-    out.clear();
-    out.reserve(count);
-    let mut prev = 0u32;
-    for i in 0..count {
-        let v = decode_vbyte(bytes, pos)?;
-        prev = if i == 0 { v } else { prev.checked_add(v)? };
-        out.push(prev);
-    }
-    Some(())
-}
-
 /// Bits needed to represent `value` (0 for 0). The per-block bit width of
 /// a packed array is the width of its largest element.
 #[inline]
@@ -181,18 +139,6 @@ fn read_word(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(w)
 }
 
-/// Number of bytes `value` occupies in vbyte form.
-#[inline]
-pub fn vbyte_len(value: u32) -> usize {
-    match value {
-        0..=0x7F => 1,
-        0x80..=0x3FFF => 2,
-        0x4000..=0x1F_FFFF => 3,
-        0x20_0000..=0xFFF_FFFF => 4,
-        _ => 5,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +148,6 @@ mod tests {
         for v in [0u32, 1, 127, 128, 300, 16_383, 16_384, 1 << 20, u32::MAX] {
             let mut buf = Vec::new();
             encode_vbyte(v, &mut buf);
-            assert_eq!(buf.len(), vbyte_len(v), "length of {v}");
             let mut pos = 0;
             assert_eq!(decode_vbyte(&buf, &mut pos), Some(v));
             assert_eq!(pos, buf.len());
@@ -238,36 +183,6 @@ mod tests {
         let bad = [0x7F, 0x7F, 0x7F, 0x7F, 0x7F, 0xFF];
         let mut pos = 0;
         assert_eq!(decode_vbyte(&bad, &mut pos), None);
-    }
-
-    #[test]
-    fn ascending_delta_round_trip() {
-        let values = vec![3u32, 4, 10, 1000, 1001, 500_000];
-        let mut buf = Vec::new();
-        encode_ascending(&values, &mut buf);
-        let mut pos = 0;
-        assert_eq!(decode_ascending(&buf, &mut pos, values.len()), Some(values));
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn dense_sequences_compress_well() {
-        let values: Vec<u32> = (1000..2000).collect();
-        let mut buf = Vec::new();
-        encode_ascending(&values, &mut buf);
-        // 999 gaps of 1 at one byte each + 2 bytes for the first value.
-        assert_eq!(buf.len(), 999 + 2);
-        // Versus 4 bytes per raw u32: 75% compression.
-        assert!(buf.len() < values.len() * 4, "compressed must beat raw u32s");
-    }
-
-    #[test]
-    fn empty_ascending_sequence() {
-        let mut buf = Vec::new();
-        encode_ascending(&[], &mut buf);
-        assert!(buf.is_empty());
-        let mut pos = 0;
-        assert_eq!(decode_ascending(&buf, &mut pos, 0), Some(vec![]));
     }
 
     #[test]
@@ -325,15 +240,5 @@ mod tests {
         let mut out = Vec::new();
         unpack_bits(&buf, 12, 0, &mut out).unwrap();
         assert_eq!(out, zeros);
-    }
-
-    #[test]
-    fn ascending_overflow_gap_is_corrupt() {
-        // A delta that would push the running value past u32::MAX.
-        let mut buf = Vec::new();
-        encode_vbyte(u32::MAX, &mut buf);
-        encode_vbyte(10, &mut buf);
-        let mut pos = 0;
-        assert_eq!(decode_ascending(&buf, &mut pos, 2), None);
     }
 }

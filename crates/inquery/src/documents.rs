@@ -68,11 +68,6 @@ impl DocTable {
         }
     }
 
-    /// Total token count across the collection.
-    pub fn total_tokens(&self) -> u64 {
-        self.total_len
-    }
-
     /// Serializes the table.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.docs.len() * 24);
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(t.info(DocId(1)).name, "DOC-1");
         assert_eq!(t.info(DocId(0)).len, 100);
         assert_eq!(t.avg_len(), 150.0);
-        assert_eq!(t.total_tokens(), 300);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 
-use crate::belief::CollectionStats;
 use crate::codec::encode_vbyte;
 use crate::dict::{Dictionary, TermId};
 use crate::documents::DocTable;
@@ -212,14 +211,6 @@ pub struct Index {
 }
 
 impl Index {
-    /// Collection statistics for the belief functions.
-    pub fn collection_stats(&self) -> CollectionStats {
-        CollectionStats {
-            num_docs: self.documents.len() as u32,
-            avg_doc_len: self.documents.avg_len(),
-        }
-    }
-
     /// Sizes of every inverted record in bytes — the data behind Figure 1.
     pub fn record_sizes(&self) -> Vec<usize> {
         self.records.iter().map(|(_, r)| r.len()).collect()
@@ -346,9 +337,6 @@ mod tests {
         assert_eq!(idx.documents.len(), 3);
         assert_eq!(idx.documents.info(DocId(0)).len, 9);
         assert_eq!(idx.documents.info(DocId(0)).name, "D0");
-        let stats = idx.collection_stats();
-        assert_eq!(stats.num_docs, 3);
-        assert!(stats.avg_doc_len > 0.0);
     }
 
     #[test]
@@ -366,7 +354,6 @@ mod tests {
         let idx = IndexBuilder::new(StopWords::default()).finish();
         assert_eq!(idx.records.len(), 0);
         assert_eq!(idx.fraction_at_most(12), 0.0);
-        assert_eq!(idx.collection_stats().num_docs, 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! Two encodings share the wire format (version is self-describing):
 //!
-//! **v1** — the legacy all-vbyte layout, still written for short records
-//! (`df <= BLOCK_SIZE` with a `u32`-range cf) and still decoded for
-//! records written by older builds:
+//! **v1** — the all-vbyte layout, written for short records
+//! (`df <= BLOCK_SIZE` with a `u32`-range cf); a v1 header declaring a
+//! longer list is corrupt:
 //!
 //! ```text
 //! header:   df, cf, max_tf                       (vbyte)
@@ -69,10 +69,10 @@ pub struct SkipBlock {
     pub len: usize,
     /// Largest within-document tf in the block.
     pub max_tf: u32,
-    /// Bit width of the block's packed doc gaps (0 in v1 records).
+    /// Bit width of the block's packed doc gaps.
     pub doc_width: u32,
-    /// Bit width of the block's packed tf−1 values (0 means either a v1
-    /// record or an all-`tf=1` v2 block; [`BlockCursor`] knows which).
+    /// Bit width of the block's packed tf−1 values (0 for an all-`tf=1`
+    /// block).
     pub tf_width: u32,
 }
 
@@ -190,7 +190,7 @@ impl InvertedRecord {
     /// format version).
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut pos = 0usize;
-        let (df, cf, max_tf, v2) = parse_header(bytes, &mut pos)?;
+        let (df, cf, max_tf, _) = parse_header(bytes, &mut pos)?;
         // Untrusted input: a posting costs at least 3 bytes in v1 and at
         // least one position byte in v2, so a declared df larger than the
         // record is corrupt — and pre-allocation must never trust the raw
@@ -198,44 +198,20 @@ impl InvertedRecord {
         if (df as usize) > bytes.len() {
             return None;
         }
-        if v2 && df > BLOCK_SIZE {
+        if df > BLOCK_SIZE {
+            // Only v2 writes blocked records; the cursor behind
+            // `decode_packed` rejects a long list under a v1 header.
             return Self::decode_packed(bytes, df, cf, max_tf);
         }
-        let blocks = if df > BLOCK_SIZE {
-            let blocks = parse_skip_directory(bytes, &mut pos, df, false)?;
-            // The directory must describe exactly the bytes that follow it.
-            let last = blocks.last()?;
-            if last.offset.checked_add(last.len)? != bytes.len() {
-                return None;
-            }
-            blocks
-        } else {
-            Vec::new()
-        };
         let mut postings = Vec::with_capacity(df as usize);
         let mut prev_doc = 0u32;
         for i in 0..df {
-            let block = &blocks.get((i / BLOCK_SIZE) as usize);
-            if let Some(b) = block {
-                if i % BLOCK_SIZE == 0 && pos != b.offset {
-                    return None; // block does not start where the directory says
-                }
-            }
             let gap = decode_vbyte(bytes, &mut pos)?;
             let doc = if i == 0 { gap } else { prev_doc.checked_add(gap)? };
             prev_doc = doc;
             let tf = decode_vbyte(bytes, &mut pos)?;
             if (tf as usize) > bytes.len() {
                 return None;
-            }
-            if let Some(b) = block {
-                if tf > b.max_tf {
-                    return None; // block-max invariant violated
-                }
-                let last_in_block = i % BLOCK_SIZE == BLOCK_SIZE - 1 || i == df - 1;
-                if last_in_block && doc != b.last_doc {
-                    return None; // directory's last-doc disagrees with the data
-                }
             }
             let mut positions = Vec::with_capacity(tf as usize);
             let mut prev_pos = 0u32;
@@ -403,21 +379,15 @@ fn encode_posting(p: &Posting, first: &mut bool, prev_doc: &mut u32, out: &mut V
     }
 }
 
-/// Parses a blocked record's skip directory (the cursor/decoder already
-/// consumed the header). `packed` selects the 5-field v2 entry over the
-/// 3-field v1 entry. Offsets come back rebased onto the record, pointing
-/// at each block's first posting byte.
-fn parse_skip_directory(
-    bytes: &[u8],
-    pos: &mut usize,
-    df: u32,
-    packed: bool,
-) -> Option<Vec<SkipBlock>> {
+/// Parses a blocked record's skip directory (the cursor already consumed
+/// the header). Offsets come back rebased onto the record, pointing at
+/// each block's first posting byte.
+fn parse_skip_directory(bytes: &[u8], pos: &mut usize, df: u32) -> Option<Vec<SkipBlock>> {
     let num_blocks = df.div_ceil(BLOCK_SIZE) as usize;
-    // Each directory entry costs at least 3 (v1) or 5 (v2) bytes, so an
-    // entry count the bytes cannot possibly hold is corrupt — and
-    // pre-allocation must never trust the raw value.
-    if num_blocks.checked_mul(if packed { 5 } else { 3 })? > bytes.len() {
+    // Each directory entry costs at least 5 bytes, so an entry count the
+    // bytes cannot possibly hold is corrupt — and pre-allocation must
+    // never trust the raw value.
+    if num_blocks.checked_mul(5)? > bytes.len() {
         return None;
     }
     let mut blocks = Vec::with_capacity(num_blocks);
@@ -435,26 +405,21 @@ fn parse_skip_directory(
             return None; // a block holds at least one posting
         }
         let max_tf = decode_vbyte(bytes, pos)?;
-        let (doc_width, tf_width) = if packed {
-            let dw = decode_vbyte(bytes, pos)?;
-            let tw = decode_vbyte(bytes, pos)?;
-            if dw > 32 || tw > 32 {
-                return None; // widths are bits of a u32
-            }
-            let n = if i + 1 < num_blocks {
-                BLOCK_SIZE as usize
-            } else {
-                df as usize - i * BLOCK_SIZE as usize
-            };
-            // The packed arrays plus at least one position byte per
-            // posting must fit the declared block length.
-            if packed_len(n, dw).checked_add(packed_len(n, tw))?.checked_add(n)? > len {
-                return None;
-            }
-            (dw, tw)
+        let doc_width = decode_vbyte(bytes, pos)?;
+        let tf_width = decode_vbyte(bytes, pos)?;
+        if doc_width > 32 || tf_width > 32 {
+            return None; // widths are bits of a u32
+        }
+        let n = if i + 1 < num_blocks {
+            BLOCK_SIZE as usize
         } else {
-            (0, 0)
+            df as usize - i * BLOCK_SIZE as usize
         };
+        // The packed arrays plus at least one position byte per posting
+        // must fit the declared block length.
+        if packed_len(n, doc_width).checked_add(packed_len(n, tf_width))?.checked_add(n)? > len {
+            return None;
+        }
         blocks.push(SkipBlock { last_doc, offset, len, max_tf, doc_width, tf_width });
         offset = offset.checked_add(len)?;
     }
@@ -529,12 +494,11 @@ impl BlockCursor {
     pub fn open(bytes: &[u8]) -> Option<(Self, u32, u64, u32)> {
         let mut pos = 0usize;
         let (df, cf, max_tf, v2) = parse_header(bytes, &mut pos)?;
-        let packed = v2 && df > BLOCK_SIZE;
-        let blocks = if df > BLOCK_SIZE {
-            parse_skip_directory(bytes, &mut pos, df, packed)?
-        } else {
-            Vec::new()
-        };
+        let packed = df > BLOCK_SIZE;
+        if packed && !v2 {
+            return None; // only v2 writes blocked records
+        }
+        let blocks = if packed { parse_skip_directory(bytes, &mut pos, df)? } else { Vec::new() };
         let cursor = BlockCursor {
             pos,
             df,
@@ -628,16 +592,6 @@ impl BlockCursor {
             return None;
         }
         self.blocks.get(self.current_block()).map(|b| b.max_tf)
-    }
-
-    /// Byte offset one past the block holding the next posting. Callers
-    /// that fetch the record incrementally must have bytes up to here
-    /// before decoding (`None` for unblocked or exhausted cursors).
-    pub fn current_block_end(&self) -> Option<usize> {
-        if self.blocks.is_empty() || self.remaining == 0 {
-            return None;
-        }
-        self.blocks.get(self.current_block()).map(|b| b.offset + b.len)
     }
 
     /// Jumps forward to the first block that could contain `target`,
@@ -1107,8 +1061,8 @@ mod tests {
         }
     }
 
-    /// The pre-v2 blocked writer, kept here to pin the decode fallback:
-    /// records written by older builds must keep decoding forever.
+    /// The all-vbyte blocked layout no writer emits: the input of the
+    /// rejection test and the size baseline the packed layout must beat.
     fn encode_v1_blocked(r: &InvertedRecord) -> Vec<u8> {
         let mut out = Vec::new();
         encode_vbyte(r.df(), &mut out);
@@ -1157,21 +1111,29 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_blocked_records_still_decode() {
-        let r = long_record(300);
-        let v1 = encode_v1_blocked(&r);
-        assert_ne!(v1, r.encode(), "the new encoder writes v2 blocks");
-        assert_eq!(InvertedRecord::decode(&v1), Some(r.clone()));
-        let (mut cur, df, cf, max_tf) = BlockCursor::open(&v1).unwrap();
-        assert_eq!((df, cf, max_tf), (300, r.cf, r.max_tf));
-        assert_eq!(cur.blocks().len(), 3);
-        let mut streamed = Vec::new();
-        while let Some(p) = cur.next(&v1) {
-            streamed.push(p);
+    fn v1_header_on_a_blocked_record_is_rejected() {
+        // A v1 header with df > BLOCK_SIZE is corrupt input to both entry
+        // points, whatever follows it: a well-formed v1 blocked body, an
+        // unblocked v1 posting stream of that length, or nothing.
+        for df in [BLOCK_SIZE + 1, 300] {
+            let r = long_record(df);
+            let v1 = encode_v1_blocked(&r);
+            assert_ne!(v1, r.encode(), "the encoder writes v2 blocks");
+            assert_eq!(InvertedRecord::decode_header(&v1), Some((df, r.cf, r.max_tf)));
+            let mut header = Vec::new();
+            for field in [df, r.cf as u32, r.max_tf] {
+                encode_vbyte(field, &mut header);
+            }
+            let mut unblocked = header.clone();
+            let (mut first, mut prev_doc) = (true, 0u32);
+            for p in &r.postings {
+                encode_posting(p, &mut first, &mut prev_doc, &mut unblocked);
+            }
+            for bytes in [&v1, &unblocked, &header] {
+                assert_eq!(InvertedRecord::decode(bytes), None, "df {df}");
+                assert!(BlockCursor::open(bytes).is_none(), "df {df}");
+            }
         }
-        assert_eq!(streamed, r.postings);
-        assert_eq!(cur.blocks_bitpacked(), 0, "v1 decodes without the packed kernel");
-        assert!(cur.bytes_decoded() > 0);
     }
 
     #[test]

@@ -3,15 +3,13 @@
 //! The paper's query sets come with relevance files ("A relevance file
 //! lists the documents that should have been retrieved for each query",
 //! Section 4.2) and its TIPSTER experiments sit in the first TREC's
-//! ecosystem [Harman 1992]. This module reads and writes the two de-facto
-//! standard formats of that ecosystem, so the engine interoperates with
-//! real evaluation tooling:
+//! ecosystem [Harman 1992]. This module writes the two de-facto standard
+//! formats of that ecosystem, so the engine's output feeds real evaluation
+//! tooling:
 //!
 //! * **qrels**: `query-id 0 document-name relevance` — relevance judgments,
 //! * **run files**: `query-id Q0 document-name rank score tag` — ranked
 //!   retrieval output consumed by `trec_eval`.
-
-use std::collections::HashMap;
 
 use crate::documents::DocTable;
 use crate::metrics::Judgments;
@@ -32,39 +30,6 @@ pub fn format_run(query_id: &str, ranked: &[ScoredDoc], docs: &DocTable, tag: &s
     out
 }
 
-/// One parsed run-file line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunLine {
-    pub query_id: String,
-    pub doc_name: String,
-    pub rank: u32,
-    pub score: f64,
-    pub tag: String,
-}
-
-/// Parses a TREC run file; malformed lines are reported by number.
-pub fn parse_run(text: &str) -> Result<Vec<RunLine>, String> {
-    let mut out = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 6 || fields[1] != "Q0" {
-            return Err(format!("line {}: expected `qid Q0 doc rank score tag`", no + 1));
-        }
-        out.push(RunLine {
-            query_id: fields[0].to_string(),
-            doc_name: fields[2].to_string(),
-            rank: fields[3].parse().map_err(|_| format!("line {}: bad rank", no + 1))?,
-            score: fields[4].parse().map_err(|_| format!("line {}: bad score", no + 1))?,
-            tag: fields[5].to_string(),
-        });
-    }
-    Ok(out)
-}
-
 /// Formats relevance judgments as qrels lines.
 pub fn format_qrels(query_id: &str, judgments: &Judgments, docs: &DocTable) -> String {
     let mut relevant: Vec<&str> = (0..docs.len() as u32)
@@ -78,44 +43,6 @@ pub fn format_qrels(query_id: &str, judgments: &Judgments, docs: &DocTable) -> S
         out.push_str(&format!("{query_id} 0 {name} 1\n"));
     }
     out
-}
-
-/// Parses qrels text into per-query judged document names with their
-/// relevance grade (`> 0` = relevant).
-pub fn parse_qrels(text: &str) -> Result<HashMap<String, Vec<(String, bool)>>, String> {
-    let mut out: HashMap<String, Vec<(String, bool)>> = HashMap::new();
-    for (no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 4 {
-            return Err(format!("line {}: expected `qid 0 doc rel`", no + 1));
-        }
-        let grade: i32 =
-            fields[3].parse().map_err(|_| format!("line {}: bad relevance", no + 1))?;
-        out.entry(fields[0].to_string()).or_default().push((fields[2].to_string(), grade > 0));
-    }
-    Ok(out)
-}
-
-/// Resolves one query's parsed qrels into [`Judgments`] against a document
-/// table. Unknown document names are returned separately (real qrels often
-/// judge documents outside a subcollection).
-pub fn qrels_to_judgments(judged: &[(String, bool)], docs: &DocTable) -> (Judgments, Vec<String>) {
-    let by_name: HashMap<&str, DocId> =
-        (0..docs.len() as u32).map(DocId).map(|d| (docs.info(d).name.as_str(), d)).collect();
-    let mut relevant = Vec::new();
-    let mut unknown = Vec::new();
-    for (name, rel) in judged {
-        match by_name.get(name.as_str()) {
-            Some(&d) if *rel => relevant.push(d),
-            Some(_) => {}
-            None => unknown.push(name.clone()),
-        }
-    }
-    (Judgments::new(relevant), unknown)
 }
 
 #[cfg(test)]
@@ -139,53 +66,18 @@ mod tests {
     }
 
     #[test]
-    fn run_file_round_trips() {
+    fn run_file_lines_are_formatted() {
         let text = format_run("51", &ranked(), &docs(), "poir");
-        assert!(text.starts_with("51 Q0 DOC-3 1 0.910000 poir\n"));
-        let parsed = parse_run(&text).unwrap();
-        assert_eq!(parsed.len(), 3);
-        assert_eq!(parsed[1].doc_name, "DOC-0");
-        assert_eq!(parsed[1].rank, 2);
-        assert!((parsed[2].score - 0.5).abs() < 1e-9);
-        assert_eq!(parsed[0].tag, "poir");
+        assert_eq!(
+            text,
+            "51 Q0 DOC-3 1 0.910000 poir\n51 Q0 DOC-0 2 0.730000 poir\n51 Q0 DOC-4 3 0.500000 poir\n"
+        );
     }
 
     #[test]
-    fn run_parser_rejects_malformed_lines() {
-        assert!(parse_run("51 Q0 DOC-1 1 0.5").is_err(), "missing tag");
-        assert!(parse_run("51 XX DOC-1 1 0.5 tag").is_err(), "bad literal");
-        assert!(parse_run("51 Q0 DOC-1 x 0.5 tag").is_err(), "bad rank");
-        assert!(parse_run("# comment\n\n").unwrap().is_empty());
-    }
-
-    #[test]
-    fn qrels_round_trip() {
+    fn qrels_lines_are_formatted() {
         let judgments = Judgments::new([DocId(1), DocId(4)]);
         let text = format_qrels("51", &judgments, &docs());
         assert_eq!(text, "51 0 DOC-1 1\n51 0 DOC-4 1\n");
-        let parsed = parse_qrels(&text).unwrap();
-        let (restored, unknown) = qrels_to_judgments(&parsed["51"], &docs());
-        assert!(unknown.is_empty());
-        assert!(restored.is_relevant(DocId(1)));
-        assert!(restored.is_relevant(DocId(4)));
-        assert!(!restored.is_relevant(DocId(0)));
-        assert_eq!(restored.len(), 2);
-    }
-
-    #[test]
-    fn qrels_with_nonrelevant_and_unknown_documents() {
-        let text = "51 0 DOC-1 1\n51 0 DOC-2 0\n51 0 GHOST-9 1\n52 0 DOC-0 2\n";
-        let parsed = parse_qrels(text).unwrap();
-        let (j51, unknown) = qrels_to_judgments(&parsed["51"], &docs());
-        assert_eq!(j51.len(), 1, "grade 0 is not relevant");
-        assert_eq!(unknown, vec!["GHOST-9".to_string()]);
-        let (j52, _) = qrels_to_judgments(&parsed["52"], &docs());
-        assert!(j52.is_relevant(DocId(0)), "graded relevance > 0 counts");
-    }
-
-    #[test]
-    fn qrels_parser_rejects_malformed_lines() {
-        assert!(parse_qrels("51 0 DOC-1").is_err());
-        assert!(parse_qrels("51 0 DOC-1 rel").is_err());
     }
 }

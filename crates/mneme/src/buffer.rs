@@ -109,15 +109,13 @@ pub trait Buffer: Send {
 /// Which replacement policy a pool's buffer should use.
 ///
 /// The paper's extensible buffering mechanism exists so "other store and
-/// buffer organizations" can be investigated; this enum names the three
+/// buffer organizations" can be investigated; this enum names the two
 /// organizations the repo ships and lets callers select one per pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BufferPolicy {
     /// The paper's policy: strict LRU ([`LruBuffer`]).
     #[default]
     Lru,
-    /// Clock / second-chance approximation ([`crate::ClockBuffer`]).
-    Clock,
     /// Scan-resistant S3-FIFO ([`crate::S3FifoBuffer`]).
     S3Fifo,
 }
@@ -127,7 +125,6 @@ impl BufferPolicy {
     pub fn build(self, capacity: usize) -> Box<dyn Buffer> {
         match self {
             BufferPolicy::Lru => Box::new(LruBuffer::new(capacity)),
-            BufferPolicy::Clock => Box::new(crate::ClockBuffer::new(capacity)),
             BufferPolicy::S3Fifo => Box::new(crate::S3FifoBuffer::new(capacity)),
         }
     }
@@ -137,7 +134,6 @@ impl std::fmt::Display for BufferPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             BufferPolicy::Lru => "lru",
-            BufferPolicy::Clock => "clock",
             BufferPolicy::S3Fifo => "s3fifo",
         })
     }
@@ -149,9 +145,8 @@ impl std::str::FromStr for BufferPolicy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "lru" => Ok(BufferPolicy::Lru),
-            "clock" => Ok(BufferPolicy::Clock),
             "s3fifo" | "s3-fifo" => Ok(BufferPolicy::S3Fifo),
-            other => Err(format!("unknown buffer policy: {other} (expected lru|clock|s3fifo)")),
+            other => Err(format!("unknown buffer policy: {other} (expected lru|s3fifo)")),
         }
     }
 }

@@ -72,19 +72,11 @@ impl ObjectId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LogicalSegment(pub u32);
 
-impl LogicalSegment {
-    /// Ids of all slots in this segment, in order.
-    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        let seg = *self;
-        (0..SLOTS_PER_SEGMENT as u8).map(move |slot| ObjectId::new(seg, slot))
-    }
-}
-
 /// Identifier of a pool within a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PoolId(pub u8);
 
-/// Slot of an open file within a [`crate::Store`].
+/// Slot of an open file within a store-wide id space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileSlot(pub u16);
 
@@ -143,16 +135,6 @@ mod tests {
         assert!(ObjectId::from_raw(u32::MAX).is_none()); // sentinel
         assert!(ObjectId::from_raw(1 << 29).is_none()); // beyond 28 bits
         assert!(ObjectId::from_raw(0).is_some());
-    }
-
-    #[test]
-    fn segment_enumerates_255_ids() {
-        let seg = LogicalSegment(3);
-        let ids: Vec<_> = seg.object_ids().collect();
-        assert_eq!(ids.len(), 255);
-        assert_eq!(ids[0].slot(), 0);
-        assert_eq!(ids[254].slot(), 254);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //! * [`segment`] — physical segments, the unit of disk transfer.
 //! * [`buffer`] — the extensible buffering mechanism; [`LruBuffer`]
 //!   implements LRU with the paper's reservation optimization, and
-//!   [`ClockBuffer`] / [`S3FifoBuffer`] are the alternative organizations
-//!   the paper invites (clock and scan-resistant S3-FIFO).
+//!   [`S3FifoBuffer`] is the alternative organization the paper invites
+//!   (scan-resistant S3-FIFO).
 //! * [`table`] — compact multi-level hash location tables, permanently
 //!   cached after first access.
 //! * [`mod@file`] — a Mneme file combining all of the above.
-//! * [`store`] — multiple open files under one global id space.
 //! * [`refs`] — inter-object references (linked structures, chunked
 //!   objects).
 //! * [`recovery`] — redo-log + checkpoint durability (the paper's
@@ -38,7 +37,6 @@
 
 pub mod buffer;
 pub mod bytes;
-pub mod clock_buffer;
 pub mod error;
 pub mod file;
 pub mod gc;
@@ -51,13 +49,11 @@ pub mod refs;
 pub mod s3fifo;
 pub mod segment;
 pub mod small_pool;
-pub mod store;
 pub mod table;
 pub mod validate;
 
 pub use buffer::{Buffer, BufferPolicy, BufferStats, LruBuffer};
 pub use bytes::ObjectBytes;
-pub use clock_buffer::ClockBuffer;
 pub use error::{MnemeError, Result};
 pub use file::{FileStats, MnemeFile, PoolStats};
 pub use huge_pool::HugePool;
@@ -67,5 +63,4 @@ pub use pool::{AppendOutcome, LocateResult, Pool, PoolConfig, PoolKindConfig};
 pub use s3fifo::S3FifoBuffer;
 pub use segment::{SegmentAddr, SegmentImage, SegmentKind};
 pub use small_pool::SmallPool;
-pub use store::Store;
 pub use validate::ValidationReport;

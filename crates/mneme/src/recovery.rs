@@ -71,7 +71,7 @@ impl RecoverableFile {
     ///   checkpoint).
     ///
     /// Both are safe because every mutation syncs its log record before
-    /// touching the data file (see [`Self::append_record`]): any leaked
+    /// touching the data file (see `append_record`): any leaked
     /// data write is covered by a durable log record, so replaying the
     /// surviving log always revisits every leaked object. Each record
     /// classifies the object's current state and forces it to the logged
@@ -219,11 +219,6 @@ impl RecoverableFile {
         Ok(())
     }
 
-    /// Current length of the redo log in bytes.
-    pub fn log_bytes(&self) -> u64 {
-        self.log_end
-    }
-
     /// Unwraps the inner file (checkpointing first).
     pub fn into_inner(mut self) -> Result<MnemeFile> {
         self.checkpoint()?;
@@ -323,7 +318,7 @@ mod tests {
         rf.update(a, b"before checkpoint, updated").unwrap();
         let c = rf.create_object(PoolId(0), b"small").unwrap();
         rf.delete(c).unwrap();
-        assert!(rf.log_bytes() > 0);
+        assert!(log.len().unwrap() > 0);
         drop(rf); // crash: no checkpoint
 
         let mut recovered = RecoverableFile::recover(data, log).unwrap();
@@ -372,9 +367,8 @@ mod tests {
         let dev = Device::with_defaults();
         let (mut rf, _data, log) = fresh(&dev);
         let a = rf.create_object(PoolId(2), &vec![9u8; 5000]).unwrap();
-        assert!(rf.log_bytes() >= 5000);
+        assert!(log.len().unwrap() >= 5000);
         rf.checkpoint().unwrap();
-        assert_eq!(rf.log_bytes(), 0);
         assert_eq!(log.len().unwrap(), 0);
         let before = log.len().unwrap();
         rf.get(a).unwrap();
@@ -396,7 +390,7 @@ mod tests {
         let d = rf.create_object(PoolId(2), &vec![4u8; 3000]).unwrap();
         // First half of checkpoint only: flush data, leave the log intact.
         rf.file().flush().unwrap();
-        assert!(rf.log_bytes() > 0, "log must still hold every record");
+        assert!(log.len().unwrap() > 0, "log must still hold every record");
         drop(rf);
 
         let mut recovered = RecoverableFile::recover(data, log).unwrap();

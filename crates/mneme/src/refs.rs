@@ -50,14 +50,6 @@ pub fn parse_reference_table(object: &[u8]) -> Option<(Vec<u64>, &[u8])> {
     Some((refs, &object[table_end..]))
 }
 
-/// Decodes the reference table into [`GlobalId`]s, skipping malformed
-/// entries.
-pub fn decode_references(object: &[u8]) -> Vec<GlobalId> {
-    parse_reference_table(object)
-        .map(|(raw, _)| raw.into_iter().filter_map(GlobalId::unpack).collect())
-        .unwrap_or_default()
-}
-
 /// Returns just the application payload of a reference-carrying object.
 pub fn payload(object: &[u8]) -> Option<&[u8]> {
     parse_reference_table(object).map(|(_, p)| p)
@@ -77,16 +69,15 @@ mod tests {
         let refs = vec![gid(0, 1), gid(9, 200), gid(123, 0)];
         let obj = encode_with_references(&refs, b"payload bytes");
         let (raw, body) = parse_reference_table(&obj).unwrap();
-        assert_eq!(raw.len(), 3);
+        assert_eq!(raw, refs.iter().map(GlobalId::pack).collect::<Vec<_>>());
         assert_eq!(body, b"payload bytes");
-        assert_eq!(decode_references(&obj), refs);
         assert_eq!(payload(&obj), Some(&b"payload bytes"[..]));
     }
 
     #[test]
     fn empty_reference_table() {
         let obj = encode_with_references(&[], b"x");
-        assert_eq!(decode_references(&obj), Vec::new());
+        assert_eq!(parse_reference_table(&obj).unwrap().0, Vec::<u64>::new());
         assert_eq!(payload(&obj), Some(&b"x"[..]));
     }
 

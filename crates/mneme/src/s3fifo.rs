@@ -682,7 +682,6 @@ mod tests {
         use crate::buffer::BufferPolicy;
         for (s, want) in [
             ("lru", BufferPolicy::Lru),
-            ("clock", BufferPolicy::Clock),
             ("s3fifo", BufferPolicy::S3Fifo),
             ("s3-fifo", BufferPolicy::S3Fifo),
         ] {

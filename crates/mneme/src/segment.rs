@@ -16,16 +16,6 @@ pub struct SegmentAddr {
     pub len: u32,
 }
 
-impl SegmentAddr {
-    /// A sentinel address used for never-written segments.
-    pub const NULL: SegmentAddr = SegmentAddr { offset: u64::MAX, len: 0 };
-
-    /// Whether this is the null sentinel.
-    pub fn is_null(&self) -> bool {
-        *self == SegmentAddr::NULL
-    }
-}
-
 /// An in-memory image of one physical segment.
 ///
 /// Images are produced by pools ([`crate::pool::Pool::new_segment`]),
@@ -146,12 +136,6 @@ mod tests {
         let img = SegmentImage::new_dirty(vec![1, 2, 3]);
         assert!(img.is_dirty());
         assert_eq!(img.into_bytes(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn null_addr_sentinel() {
-        assert!(SegmentAddr::NULL.is_null());
-        assert!(!SegmentAddr { offset: 0, len: 1 }.is_null());
     }
 
     #[test]

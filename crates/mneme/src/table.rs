@@ -75,13 +75,6 @@ impl LsegEntry {
         }
     }
 
-    /// Drops the relocation for `slot`, if any.
-    pub fn clear_exception(&mut self, slot: u8) {
-        if let Ok(i) = self.exceptions.binary_search_by_key(&slot, |e| e.0) {
-            self.exceptions.remove(i);
-        }
-    }
-
     /// Every distinct physical segment referenced by this entry.
     pub fn segments(&self) -> Vec<SegmentAddr> {
         let mut out: Vec<SegmentAddr> =
@@ -340,8 +333,6 @@ mod tests {
         assert_eq!(e.segment_for(6), Some(addr(1)));
         e.set_exception(7, addr(11)); // update existing
         assert_eq!(e.segment_for(7), Some(addr(11)));
-        e.clear_exception(7);
-        assert_eq!(e.segment_for(7), Some(addr(1)));
     }
 
     #[test]

@@ -18,16 +18,14 @@
 //! the reported times — the comparisons in Tables 3-5 depend on the event
 //! *counts*, which are exact.
 
-use std::time::Duration;
-
 use poir_telemetry::{Event, TelemetrySnapshot};
 
 use crate::stats::IoSnapshot;
 
 /// Simulated time, accumulated in microseconds.
 ///
-/// A thin wrapper rather than [`Duration`] so arithmetic on it is explicit
-/// and cheap inside hot accounting paths.
+/// A thin wrapper rather than [`std::time::Duration`] so arithmetic on it
+/// is explicit and cheap inside hot accounting paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct SimTime {
     micros: u64,
@@ -50,11 +48,6 @@ impl SimTime {
     /// Total seconds, as the paper's tables report.
     pub fn as_secs_f64(&self) -> f64 {
         self.micros as f64 / 1e6
-    }
-
-    /// Converts into a std [`Duration`].
-    pub fn to_duration(&self) -> Duration {
-        Duration::from_micros(self.micros)
     }
 }
 
@@ -152,7 +145,6 @@ mod tests {
         let mut c = SimTime::ZERO;
         c += a;
         assert_eq!(c, a);
-        assert_eq!(a.to_duration(), Duration::from_micros(1_500_000));
     }
 
     #[test]

@@ -321,11 +321,6 @@ impl Device {
         inner.faults.as_ref().map(|f| f.stats()).unwrap_or(inner.retired_fault_stats)
     }
 
-    /// Whether an injected power cut has poisoned the device.
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.lock().faults.as_ref().is_some_and(|f| f.poisoned)
-    }
-
     /// After `reads` further read system calls, every read fails with
     /// [`StorageError::InjectedFault`]. Pass `None` to disarm.
     ///
@@ -672,17 +667,6 @@ impl FileHandle {
         Ok(buf)
     }
 
-    /// Reads several `(offset, len)` ranges in one gathered system call,
-    /// like `preadv`: the whole request counts as **one** file access, and
-    /// each distinct block touched counts at most one I/O input.
-    ///
-    /// Ranges may be disjoint; callers batching adjacent segments should
-    /// prefer [`FileHandle::read_run`], which expresses the common
-    /// contiguous case directly.
-    pub fn read_vectored(&self, ranges: &[(u64, u32)]) -> Result<Vec<Vec<u8>>> {
-        self.device.read_at_vectored(self.id, ranges)
-    }
-
     /// Reads a contiguous run of `lens.len()` adjacent chunks starting at
     /// `start` in one system call, returning one buffer per chunk.
     ///
@@ -904,13 +888,11 @@ mod tests {
         f.write(8, b"volatile").unwrap(); // survives until the cut fires
         let err = f.write(16, b"never").unwrap_err();
         assert!(matches!(err, StorageError::Poisoned));
-        assert!(dev.is_poisoned());
         // Every further data operation fails until the plan is cleared.
         assert!(matches!(f.read(0, 4), Err(StorageError::Poisoned)));
         assert!(matches!(f.sync(), Err(StorageError::Poisoned)));
         assert!(matches!(f.truncate(0), Err(StorageError::Poisoned)));
         dev.clear_fault_plan();
-        assert!(!dev.is_poisoned());
         // Only the synced image survived the cut.
         assert_eq!(f.len().unwrap(), 8);
         assert_eq!(f.read(0, 8).unwrap(), b"durable!");
@@ -1011,20 +993,6 @@ mod tests {
         f.read_run(16, &[16, 8, 24]).unwrap();
         let d = dev.stats().snapshot().since(&before);
         assert_eq!((d.file_accesses, d.io_inputs), (1, 0));
-    }
-
-    #[test]
-    fn read_vectored_disjoint_ranges() {
-        let dev = small_device();
-        let f = dev.create_file();
-        f.write(0, &[7u8; 160]).unwrap();
-        dev.chill();
-        let before = dev.stats().snapshot();
-        let parts = f.read_vectored(&[(0, 16), (144, 16)]).unwrap();
-        assert_eq!(parts, vec![vec![7u8; 16], vec![7u8; 16]]);
-        let d = dev.stats().snapshot().since(&before);
-        assert_eq!(d.file_accesses, 1);
-        assert_eq!(d.io_inputs, 2, "blocks 0 and 9 transferred");
     }
 
     #[test]

@@ -105,21 +105,15 @@ pub enum Event {
     BlockCacheHit,
     /// Decoded-block cache consultations that had to decode.
     BlockCacheMiss,
-    /// Decoded blocks admitted into the block cache.
-    BlockCacheAdmit,
-    /// Decoded blocks evicted from the block cache.
-    BlockCacheEvict,
     /// Queries answered from the result cache (no shard evaluation).
     ResultCacheHit,
     /// Result-cache consultations that had to evaluate.
     ResultCacheMiss,
-    /// Responses evicted from the result cache.
-    ResultCacheEvict,
 }
 
 impl Event {
     /// Number of event kinds (array dimension).
-    pub const COUNT: usize = 34;
+    pub const COUNT: usize = 31;
 
     /// All events, in declaration order.
     pub const ALL: [Event; Event::COUNT] = [
@@ -152,11 +146,8 @@ impl Event {
         Event::DegradedResponse,
         Event::BlockCacheHit,
         Event::BlockCacheMiss,
-        Event::BlockCacheAdmit,
-        Event::BlockCacheEvict,
         Event::ResultCacheHit,
         Event::ResultCacheMiss,
-        Event::ResultCacheEvict,
     ];
 
     /// Stable snake_case name used in JSON export.
@@ -191,11 +182,8 @@ impl Event {
             Event::DegradedResponse => "degraded_responses",
             Event::BlockCacheHit => "block_cache_hits",
             Event::BlockCacheMiss => "block_cache_misses",
-            Event::BlockCacheAdmit => "block_cache_admits",
-            Event::BlockCacheEvict => "block_cache_evicts",
             Event::ResultCacheHit => "result_cache_hits",
             Event::ResultCacheMiss => "result_cache_misses",
-            Event::ResultCacheEvict => "result_cache_evicts",
         }
     }
 }
@@ -858,16 +846,6 @@ impl MetricsReport {
             0.0
         } else {
             hits as f64 / total as f64
-        }
-    }
-
-    /// Per-pool buffer hit rate (0.0 when the pool saw no references).
-    pub fn pool_hit_rate(&self, pool: usize) -> f64 {
-        let refs = self.delta.pool(pool, PoolEvent::Ref);
-        if refs == 0 {
-            0.0
-        } else {
-            self.delta.pool(pool, PoolEvent::Hit) as f64 / refs as f64
         }
     }
 

@@ -273,7 +273,7 @@ struct Shard {
 /// A bounded, sharded ring buffer of [`TraceRecord`]s.
 ///
 /// `capacity` is the total record budget, split evenly across
-/// [`TRACE_SHARDS`] shards (minimum one record per shard). Threads map to
+/// `TRACE_SHARDS` shards (minimum one record per shard). Threads map to
 /// shards by track id, so with up to 16 tracing threads each shard mutex
 /// is private to one thread.
 pub struct Tracer {
