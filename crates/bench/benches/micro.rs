@@ -227,6 +227,26 @@ fn bench_query_eval(c: &mut Criterion) {
             )
         });
     });
+    // The max-score pruned kernel the service runs, on the same 10-term
+    // bag and on a 37-term one (the longest `serve_long` query).
+    for terms in [10, 37] {
+        let bag: Vec<(f64, String)> = (0..terms).map(|i| (1.0, format!("w{i}"))).collect();
+        group.bench_function(format!("daat_pruned{terms}"), |b| {
+            b.iter(|| {
+                black_box(
+                    poir_inquery::query::daat::rank_daat_pruned(
+                        &mut store,
+                        &dict,
+                        &docs,
+                        BeliefParams::default(),
+                        &bag,
+                        100,
+                    )
+                    .unwrap(),
+                )
+            });
+        });
+    }
     group.finish();
 }
 

@@ -9,10 +9,23 @@
 //! with document-length correction):
 //!
 //! ```text
-//! T = tf / (tf + 0.5 + 1.5 · dl / avg_dl)          (term-frequency weight)
+//! T = tf / (tf + 0.5 + 1.5 · (dl / avg_dl))        (term-frequency weight)
 //! I = ln((N + 0.5) / df) / ln(N + 1)               (inverse document freq.)
 //! belief = d + (1 - d) · T · I,  d = 0.4           (default belief)
 //! ```
+//!
+//! Each line evaluates left to right in `f64`, parentheses first; that
+//! order fixes the bits every ranker must reproduce. A term that is absent
+//! (`tf = 0`), a list with `df = 0` and an empty collection (`N = 0`) all
+//! give `d`; `I` is clamped at zero (`df > N`); `dl / avg_dl` reads 1 when
+//! `avg_dl` is zero.
+//!
+//! `I` depends only on the term's list and the length term
+//! `1.5 · (dl / avg_dl)` only on the document, so rankers build each once —
+//! [`BeliefParams::list_idf`] per list, [`BeliefParams::len_term`] per
+//! document — and [`BeliefParams::belief`] combines them per posting.
+//! [`BeliefParams::term_belief`] is that composition, so every evaluator
+//! computes the same bits in the same operation order.
 //!
 //! Query operators combine child beliefs per document:
 //! `#and` = product, `#or` = 1 − ∏(1 − pᵢ), `#not` = 1 − p,
@@ -44,20 +57,51 @@ pub struct CollectionStats {
     pub avg_doc_len: f64,
 }
 
+/// The per-list factor of the belief formula, fixed by a term's document
+/// frequency: the clamped idf `I`, or nothing when every posting of the
+/// list scores the default belief (`df = 0` or `N = 0`). Built by
+/// [`BeliefParams::list_idf`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ListIdf(Option<f64>);
+
 impl BeliefParams {
     /// Belief contributed by a term occurring `tf` times in a document of
     /// `doc_len` tokens, where the term appears in `df` documents.
     pub fn term_belief(&self, tf: u32, doc_len: u32, df: u32, stats: &CollectionStats) -> f64 {
-        if tf == 0 || df == 0 || stats.num_docs == 0 {
-            return self.default_belief;
+        self.belief(tf, self.len_term(doc_len, stats), self.list_idf(df, stats))
+    }
+
+    /// The idf factor `I` of a term in `df` documents (two `ln` and a
+    /// divide — build it once per list, not per posting).
+    pub fn list_idf(&self, df: u32, stats: &CollectionStats) -> ListIdf {
+        if df == 0 || stats.num_docs == 0 {
+            return ListIdf(None);
         }
-        let dl_ratio =
-            if stats.avg_doc_len > 0.0 { doc_len as f64 / stats.avg_doc_len } else { 1.0 };
-        let t = tf as f64 / (tf as f64 + self.tf_base + self.len_factor * dl_ratio);
         let n = stats.num_docs as f64;
         let i = ((n + 0.5) / df as f64).ln() / (n + 1.0).ln();
-        let i = i.max(0.0); // df == N gives a tiny positive value; df > N is clamped
-        self.default_belief + (1.0 - self.default_belief) * t * i
+        ListIdf(Some(i.max(0.0))) // df == N gives a tiny positive value; df > N is clamped
+    }
+
+    /// The document-length term `len_factor · (dl / avg_dl)` of a document
+    /// of `doc_len` tokens (one divide — build it once per document).
+    pub fn len_term(&self, doc_len: u32, stats: &CollectionStats) -> f64 {
+        let dl_ratio =
+            if stats.avg_doc_len > 0.0 { doc_len as f64 / stats.avg_doc_len } else { 1.0 };
+        self.len_factor * dl_ratio
+    }
+
+    /// Belief of one posting: `tf` occurrences in a document whose
+    /// [`len_term`](Self::len_term) is `len_term`, in a list whose
+    /// [`list_idf`](Self::list_idf) is `idf`.
+    #[inline]
+    pub fn belief(&self, tf: u32, len_term: f64, idf: ListIdf) -> f64 {
+        match idf.0 {
+            Some(i) if tf > 0 => {
+                let t = tf as f64 / (tf as f64 + self.tf_base + len_term);
+                self.default_belief + (1.0 - self.default_belief) * t * i
+            }
+            _ => self.default_belief,
+        }
     }
 
     /// `#and`: the product of child beliefs.
@@ -182,5 +226,60 @@ mod tests {
     fn empty_collection_is_safe() {
         let empty = CollectionStats { num_docs: 0, avg_doc_len: 0.0 };
         assert_eq!(params().term_belief(5, 10, 1, &empty), 0.4);
+    }
+
+    /// The belief formula as one inline expression, the way it was written
+    /// before it was split into per-list and per-document factors. Kept
+    /// verbatim as the oracle for the split.
+    fn inline_term_belief(
+        p: &BeliefParams,
+        tf: u32,
+        doc_len: u32,
+        df: u32,
+        stats: &CollectionStats,
+    ) -> f64 {
+        if tf == 0 || df == 0 || stats.num_docs == 0 {
+            return p.default_belief;
+        }
+        let dl_ratio =
+            if stats.avg_doc_len > 0.0 { doc_len as f64 / stats.avg_doc_len } else { 1.0 };
+        let t = tf as f64 / (tf as f64 + p.tf_base + p.len_factor * dl_ratio);
+        let n = stats.num_docs as f64;
+        let i = ((n + 0.5) / df as f64).ln() / (n + 1.0).ln();
+        let i = i.max(0.0); // df == N gives a tiny positive value; df > N is clamped
+        p.default_belief + (1.0 - p.default_belief) * t * i
+    }
+
+    #[test]
+    fn split_belief_is_bit_identical_to_the_inline_formula() {
+        let tuned = BeliefParams { default_belief: 0.3, tf_base: 0.75, len_factor: 1.2 };
+        let mut checked = 0;
+        for p in [params(), tuned] {
+            for num_docs in [0u32, 1, 2, 999, 1000, 12_000, u32::MAX] {
+                for avg_doc_len in [0.0, 1.0, 87.25, 100.0, 1e9] {
+                    let stats = CollectionStats { num_docs, avg_doc_len };
+                    for df in [0u32, 1, 2, 10, 999, 1000, 1001, 12_000, 50_000, u32::MAX] {
+                        // Built once per list, reused for every posting.
+                        let idf = p.list_idf(df, &stats);
+                        for doc_len in [0u32, 1, 7, 100, 4096, u32::MAX] {
+                            let len_term = p.len_term(doc_len, &stats);
+                            for tf in [0u32, 1, 2, 3, 17, 1000, u32::MAX - 1, u32::MAX] {
+                                let oracle = inline_term_belief(&p, tf, doc_len, df, &stats);
+                                let split = p.belief(tf, len_term, idf);
+                                let composed = p.term_belief(tf, doc_len, df, &stats);
+                                assert_eq!(
+                                    oracle.to_bits(),
+                                    split.to_bits(),
+                                    "tf={tf} dl={doc_len} df={df} {stats:?} {p:?}"
+                                );
+                                assert_eq!(oracle.to_bits(), composed.to_bits());
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 2 * 7 * 5 * 10 * 6 * 8);
     }
 }

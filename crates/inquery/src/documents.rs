@@ -21,6 +21,8 @@ pub struct DocInfo {
 pub struct DocTable {
     docs: Vec<DocInfo>,
     total_len: u64,
+    /// Shortest length pushed so far (0 while empty).
+    min_len: u32,
 }
 
 impl DocTable {
@@ -33,6 +35,7 @@ impl DocTable {
     pub fn push(&mut self, name: String, len: u32) -> DocId {
         let id = DocId(self.docs.len() as u32);
         self.total_len += len as u64;
+        self.min_len = if self.docs.is_empty() { len } else { self.min_len.min(len) };
         self.docs.push(DocInfo { name, len });
         id
     }
@@ -56,7 +59,7 @@ impl DocTable {
     /// monotone decreasing in document length, so evaluating it at the
     /// collection's shortest document yields a sound upper bound.
     pub fn min_len(&self) -> u32 {
-        self.docs.iter().map(|d| d.len).min().unwrap_or(0)
+        self.min_len
     }
 
     /// Mean document length in tokens.
@@ -138,6 +141,26 @@ mod tests {
         }
         let t2 = DocTable::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(t, t2);
+    }
+
+    #[test]
+    fn min_len_tracks_pushes_and_survives_serialization() {
+        let mut t = DocTable::new();
+        assert_eq!(t.min_len(), 0, "empty table");
+        t.push("a".into(), 40);
+        assert_eq!(t.min_len(), 40, "the first push sets the minimum");
+        t.push("b".into(), 70);
+        assert_eq!(t.min_len(), 40);
+        t.push("c".into(), 3);
+        t.push("d".into(), 9);
+        assert_eq!(t.min_len(), 3);
+        let scanned = (0..t.len() as u32).map(|i| t.info(DocId(i)).len).min().unwrap();
+        assert_eq!(t.min_len(), scanned);
+        let t2 = DocTable::from_bytes(&t.to_bytes()).unwrap();
+        assert_eq!(t2.min_len(), 3);
+        assert_eq!(t2, t);
+        t.push("e".into(), 0);
+        assert_eq!(t.min_len(), 0, "a zero-length document is the minimum");
     }
 
     #[test]

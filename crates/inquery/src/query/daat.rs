@@ -16,11 +16,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use crate::belief::{BeliefParams, CollectionStats};
+use crate::belief::{BeliefParams, CollectionStats, ListIdf};
 use crate::dict::Dictionary;
 use crate::documents::DocTable;
 use crate::error::{InqueryError, Result};
-use crate::postings::{BlockCursor, DocId, Posting, PostingsCursor, SkipBlock};
+use crate::postings::{BlockCursor, DocId, PostingsCursor, SkipBlock};
 use crate::query::ast::QueryNode;
 use crate::query::eval::ScoredDoc;
 use crate::store::{InvertedFileStore, RecordBytes};
@@ -88,8 +88,16 @@ pub fn flatten_bag(query: &QueryNode) -> Option<Vec<(f64, String)>> {
     }
 }
 
-/// Ranks a bag-of-words query document-at-a-time. Produces exactly the
-/// same scores as the term-at-a-time evaluator on the same query.
+/// Ranks a bag-of-words query document-at-a-time. Produces the same
+/// scores as the term-at-a-time evaluator on the same query, up to
+/// floating-point summation order.
+///
+/// Every document in at least one known term's list is scored; with `W`
+/// the sum of all weights (unknown terms included), a document's score is
+/// `(Σ w_i · belief_i + (W − Σ w_i) · d) / W`, both sums running over the
+/// lists that hold the document in ascending list index (query order,
+/// unknown terms skipped), and `d` the default belief. Results are sorted
+/// by score descending, then document id ascending, and cut to `k`.
 pub fn rank_daat<S: InvertedFileStore + ?Sized>(
     store: &mut S,
     dict: &Dictionary,
@@ -113,7 +121,7 @@ pub fn rank_daat<S: InvertedFileStore + ?Sized>(
     let mut weights = Vec::new();
     let mut buffers = Vec::new();
     let mut refs = Vec::new();
-    let mut dfs = Vec::new();
+    let mut idfs = Vec::new();
     let mut unknown_weight = 0.0f64;
     for (w, term) in terms {
         let Some(id) = dict.lookup(term) else {
@@ -123,24 +131,23 @@ pub fn rank_daat<S: InvertedFileStore + ?Sized>(
         let store_ref = dict.entry(id).store_ref;
         let bytes = store.fetch(store_ref)?;
         weights.push(*w);
-        dfs.push(dict.entry(id).df);
+        idfs.push(params.list_idf(dict.entry(id).df, &stats));
         refs.push(store_ref);
         buffers.push(bytes);
     }
     let mut cursors = Vec::with_capacity(buffers.len());
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
-    let mut current: Vec<Option<Posting>> = Vec::with_capacity(buffers.len());
+    // Each list's head posting as (doc, list index, tf): the heap pops a
+    // document's postings in ascending list index.
+    let mut heap: BinaryHeap<Reverse<(u32, usize, u32)>> = BinaryHeap::new();
     for (i, bytes) in buffers.iter().enumerate() {
         let (mut cursor, _df, _cf, _max_tf) = PostingsCursor::open(bytes)
             .ok_or_else(|| InqueryError::BadRecord("cursor open failed".into()))?;
         if let Some(cache) = &block_cache {
             cursor.attach_cache(Arc::clone(cache), store_epoch, refs[i]);
         }
-        let head = cursor.next();
-        if let Some(p) = &head {
-            heap.push(Reverse((p.doc.0, i)));
+        if let Some((doc, tf)) = cursor.next_doc_tf() {
+            heap.push(Reverse((doc.0, i, tf)));
         }
-        current.push(head);
         cursors.push(cursor);
     }
     let total_weight: f64 = weights.iter().sum::<f64>() + unknown_weight;
@@ -151,34 +158,28 @@ pub fn rank_daat<S: InvertedFileStore + ?Sized>(
     let default = params.default_belief;
     // Gather all evidence for one document before moving to the next.
     let mut results: Vec<ScoredDoc> = Vec::new();
-    while let Some(&Reverse((doc_raw, _))) = heap.peek() {
+    while let Some(&Reverse((doc_raw, _, _))) = heap.peek() {
         let doc = DocId(doc_raw);
-        let doc_len = docs.info(doc).len;
+        let len_term = params.len_term(docs.info(doc).len, &stats);
         let mut weighted_sum = 0.0;
-        let mut consumed = Vec::new();
-        // Pop every term positioned at this document.
-        while let Some(&Reverse((d, i))) = heap.peek() {
+        let mut matched_weight = 0.0;
+        // Pop every term positioned at this document; a list's next
+        // posting lies past it, so it can be pushed straight back.
+        while let Some(&Reverse((d, i, tf))) = heap.peek() {
             if d != doc_raw {
                 break;
             }
             heap.pop();
-            consumed.push(i);
-            let posting = current[i].take().expect("heap entries have postings");
-            let belief = params.term_belief(posting.tf, doc_len, dfs[i], &stats);
-            weighted_sum += weights[i] * belief;
+            weighted_sum += weights[i] * params.belief(tf, len_term, idfs[i]);
+            matched_weight += weights[i];
+            if let Some((next, tf)) = cursors[i].next_doc_tf() {
+                heap.push(Reverse((next.0, i, tf)));
+            }
         }
         // Terms absent from this document contribute the default belief.
-        let absent_weight: f64 = total_weight - consumed.iter().map(|&i| weights[i]).sum::<f64>();
+        let absent_weight: f64 = total_weight - matched_weight;
         weighted_sum += absent_weight * default;
         results.push(ScoredDoc { doc, score: weighted_sum / total_weight });
-        // Advance consumed cursors.
-        for i in consumed {
-            let next = cursors[i].next();
-            if let Some(p) = &next {
-                heap.push(Reverse((p.doc.0, i)));
-            }
-            current[i] = next;
-        }
     }
     results.sort_unstable_by(|a, b| {
         b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal).then(a.doc.cmp(&b.doc))
@@ -319,16 +320,20 @@ impl LazyList {
     }
 }
 
+/// Head document of an exhausted list in [`rank_daat_pruned`]: it sorts
+/// after every candidate, so an exhausted list never matches or leads.
+const END: u32 = u32::MAX;
+
 /// Advances one list's cursor, ensuring the current block's bytes are
-/// present first. Returns the next `(doc, tf)` or `None` at the end.
+/// present first. Returns the next `(doc, tf)`, or `(END, 0)` at the end.
 fn advance_list<S: InvertedFileStore + ?Sized>(
     store: &mut S,
     list: &mut LazyList,
     cursor: &mut BlockCursor,
     stats: &mut DaatStats,
-) -> Result<Option<(u32, u32)>> {
+) -> Result<(u32, u32)> {
     if cursor.remaining() == 0 {
-        return Ok(None);
+        return Ok((END, 0));
     }
     if !list.complete {
         if let Some(b) = cursor.current_block_index() {
@@ -340,7 +345,7 @@ fn advance_list<S: InvertedFileStore + ?Sized>(
     match cursor.next_doc_tf(&list.bytes) {
         Some((doc, tf)) => {
             stats.postings_decoded += 1;
-            Ok(Some((doc.0, tf)))
+            Ok((doc.0, tf))
         }
         None => Err(InqueryError::BadRecord("posting decode failed".into())),
     }
@@ -378,7 +383,7 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
     let mut weights: Vec<f64> = Vec::new();
     let mut lists: Vec<LazyList> = Vec::new();
     let mut cursors: Vec<BlockCursor> = Vec::new();
-    let mut dfs: Vec<u32> = Vec::new();
+    let mut idfs: Vec<ListIdf> = Vec::new();
     let mut max_tfs: Vec<u32> = Vec::new();
     let mut unknown_weight = 0.0f64;
     let block_cache = store.decoded_block_cache();
@@ -400,7 +405,7 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
         weights.push(*w);
         lists.push(list);
         cursors.push(cursor);
-        dfs.push(dict.entry(id).df);
+        idfs.push(params.list_idf(dict.entry(id).df, &collection));
         max_tfs.push(max_tf);
     }
     let total_weight: f64 = weights.iter().sum::<f64>() + unknown_weight;
@@ -414,10 +419,10 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
     // decreasing in document length, so evaluating at (max_tf, min_len)
     // bounds every posting. Negative weights cannot raise a score above
     // baseline, so their delta clamps to zero.
-    let min_len = docs.min_len();
+    let min_len_term = params.len_term(docs.min_len(), &collection);
     let deltas: Vec<f64> = (0..n)
         .map(|i| {
-            let ub = params.term_belief(max_tfs[i], min_len, dfs[i], &collection);
+            let ub = params.belief(max_tfs[i], min_len_term, idfs[i]);
             (weights[i] * (ub - default)).max(0.0)
         })
         .collect();
@@ -433,12 +438,21 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
         tail[j] = tail[j + 1] + deltas[ord[j]];
     }
 
-    // Current head posting per list.
-    let mut heads: Vec<Option<(u32, u32)>> = Vec::with_capacity(n);
+    // Current head posting per list, fetched in query order.
+    let mut heads: Vec<(u32, u32)> = Vec::with_capacity(n);
     for i in 0..n {
-        let head = advance_list(store, &mut lists[i], &mut cursors[i], &mut stats)?;
-        heads.push(head);
+        heads.push(advance_list(store, &mut lists[i], &mut cursors[i], &mut stats)?);
     }
+    // From here on the per-list state the candidate loop reads is kept in
+    // bound order: position j holds list ord[j], so the essential lists are
+    // the prefix [..m] and each per-candidate pass over them is one
+    // contiguous scan. `lists` and `cursors` stay in query order and are
+    // reached through ord[j].
+    let weights: Vec<f64> = ord.iter().map(|&i| weights[i]).collect();
+    let idfs: Vec<ListIdf> = ord.iter().map(|&i| idfs[i]).collect();
+    let deltas: Vec<f64> = ord.iter().map(|&i| deltas[i]).collect();
+    let mut head_doc: Vec<u32> = ord.iter().map(|&i| heads[i].0).collect();
+    let mut head_tf: Vec<u32> = ord.iter().map(|&i| heads[i].1).collect();
 
     // Top-k heap: peek() is the worst kept candidate (lowest score, then
     // largest doc — the one the final sort would drop first).
@@ -469,46 +483,43 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
     let mut heap: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
     let mut theta = f64::NEG_INFINITY;
 
-    // Number of essential lists (ord[..m]); lists past m cannot lift a
-    // document over theta on their own and only get probed.
+    // Number of essential lists (positions [..m]); lists past m cannot
+    // lift a document over theta on their own and only get probed.
     let mut m = n;
-    let recompute_m = |theta: f64| -> usize {
-        (0..n).find(|&j| default + tail[j] / total_weight + PRUNE_EPS <= theta).unwrap_or(n)
-    };
+    let stop_at: Vec<f64> =
+        tail[..n].iter().map(|t| default + t / total_weight + PRUNE_EPS).collect();
+    let recompute_m = |theta: f64| -> usize { (0..n).find(|&j| stop_at[j] <= theta).unwrap_or(n) };
 
+    // Per-candidate buffers, reused: the essential positions at the
+    // candidate (ascending), and the matching lists as (query-order index,
+    // weight, belief).
+    let mut at_cand: Vec<usize> = vec![0; n];
+    let mut matched: Vec<(usize, f64, f64)> = Vec::with_capacity(n);
     loop {
-        if m == 0 {
-            break;
-        }
         // Candidate: smallest head document among essential lists.
-        let mut cand = u32::MAX;
-        for &i in &ord[..m] {
-            if let Some((d, _)) = heads[i] {
-                cand = cand.min(d);
-            }
-        }
-        if cand == u32::MAX {
+        let cand = head_doc[..m].iter().copied().fold(END, u32::min);
+        if cand == END {
             break;
         }
-        let doc_len = docs.info(DocId(cand)).len;
-        let exact_delta = |i: usize, tf: u32| -> f64 {
-            weights[i] * (params.term_belief(tf, doc_len, dfs[i], &collection) - default)
-        };
+        let len_term = params.len_term(docs.info(DocId(cand)).len, &collection);
 
         // Exact contributions from matching essential lists, record-level
-        // bounds for the non-essential rest.
-        let mut matched: Vec<(usize, u32)> = Vec::new();
-        let mut bound = 0.0f64;
-        for &i in &ord[..m] {
-            if let Some((d, tf)) = heads[i] {
-                if d == cand {
-                    matched.push((i, tf));
-                    bound += exact_delta(i, tf);
-                }
-            }
+        // bounds for the non-essential rest. Each posting's belief is
+        // computed once: the bound uses it here, the final sum reuses it.
+        let mut hits = 0;
+        for (j, &d) in head_doc[..m].iter().enumerate() {
+            at_cand[hits] = j;
+            hits += (d == cand) as usize;
         }
-        for &j in &ord[m..] {
-            bound += deltas[j];
+        matched.clear();
+        let mut bound = 0.0f64;
+        for &j in &at_cand[..hits] {
+            let belief = params.belief(head_tf[j], len_term, idfs[j]);
+            matched.push((ord[j], weights[j], belief));
+            bound += weights[j] * (belief - default);
+        }
+        for &d in &deltas[m..] {
+            bound += d;
         }
 
         let mut alive = default + bound / total_weight + PRUNE_EPS > theta;
@@ -518,61 +529,44 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
             // refinement and then with the exact contribution. A stale
             // head (left behind while the list was non-essential) settles
             // the list without touching the cursor: at `cand` it is the
-            // exact contribution, past `cand` the list cannot match.
-            for &j in &ord[m..] {
+            // exact contribution, past `cand` (or exhausted) the list
+            // cannot match.
+            for j in m..n {
                 bound -= deltas[j];
-                match heads[j] {
-                    None => {}
-                    Some((d, _)) if d > cand => {}
-                    Some((d, tf)) if d == cand => {
-                        matched.push((j, tf));
-                        bound += exact_delta(j, tf);
+                if head_doc[j] < cand {
+                    let (list, cursor) = (&mut lists[ord[j]], &mut cursors[ord[j]]);
+                    let seek = cursor.seek(cand);
+                    stats.blocks_skipped += seek.blocks_skipped;
+                    stats.postings_skipped += seek.postings_skipped;
+                    if seek.blocks_skipped > 0 {
+                        stats.cursor_seeks += 1;
                     }
-                    Some(_) => {
-                        let seek = cursors[j].seek(cand);
-                        stats.blocks_skipped += seek.blocks_skipped;
-                        stats.postings_skipped += seek.postings_skipped;
-                        if seek.blocks_skipped > 0 {
-                            stats.cursor_seeks += 1;
+                    // Block-max refinement: the current block caps tf,
+                    // which may rule the document out without touching
+                    // its bytes.
+                    let refined = match cursor.current_block_max_tf() {
+                        Some(block_max) => {
+                            let ub = params.belief(block_max, min_len_term, idfs[j]);
+                            (weights[j] * (ub - default)).max(0.0).min(deltas[j])
                         }
-                        // Block-max refinement: the current block caps tf,
-                        // which may rule the document out without touching
-                        // its bytes.
-                        let refined = match cursors[j].current_block_max_tf() {
-                            Some(block_max) => {
-                                let ub =
-                                    params.term_belief(block_max, min_len, dfs[j], &collection);
-                                (weights[j] * (ub - default)).max(0.0).min(deltas[j])
-                            }
-                            None if cursors[j].remaining() == 0 => 0.0,
-                            None => deltas[j],
-                        };
-                        if default + (bound + refined) / total_weight + PRUNE_EPS <= theta {
-                            alive = false;
-                        } else {
-                            // Decode within the block until we reach or
-                            // pass cand.
-                            while let Some((d, _)) = heads[j] {
-                                if d >= cand {
-                                    break;
-                                }
-                                heads[j] = advance_list(
-                                    store,
-                                    &mut lists[j],
-                                    &mut cursors[j],
-                                    &mut stats,
-                                )?;
-                            }
-                            if let Some((d, tf)) = heads[j] {
-                                if d == cand {
-                                    matched.push((j, tf));
-                                    bound += exact_delta(j, tf);
-                                }
-                            }
-                        }
+                        None if cursor.remaining() == 0 => 0.0,
+                        None => deltas[j],
+                    };
+                    if default + (bound + refined) / total_weight + PRUNE_EPS <= theta {
+                        alive = false;
+                        break;
+                    }
+                    // Decode within the block until we reach or pass cand.
+                    while head_doc[j] < cand {
+                        (head_doc[j], head_tf[j]) = advance_list(store, list, cursor, &mut stats)?;
                     }
                 }
-                if !alive || default + bound / total_weight + PRUNE_EPS <= theta {
+                if head_doc[j] == cand {
+                    let belief = params.belief(head_tf[j], len_term, idfs[j]);
+                    matched.push((ord[j], weights[j], belief));
+                    bound += weights[j] * (belief - default);
+                }
+                if default + bound / total_weight + PRUNE_EPS <= theta {
                     alive = false;
                     break;
                 }
@@ -582,13 +576,12 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
         if alive {
             // Full evaluation, replicating rank_daat's exact FP order:
             // contributions in ascending list index, then the absent mass.
-            matched.sort_unstable_by_key(|&(i, _)| i);
+            matched.sort_unstable_by_key(|&(i, _, _)| i);
             let mut weighted_sum = 0.0f64;
-            for &(i, tf) in &matched {
-                weighted_sum += weights[i] * params.term_belief(tf, doc_len, dfs[i], &collection);
+            for &(_, w, belief) in &matched {
+                weighted_sum += w * belief;
             }
-            let absent_weight: f64 =
-                total_weight - matched.iter().map(|&(i, _)| weights[i]).sum::<f64>();
+            let absent_weight: f64 = total_weight - matched.iter().map(|&(_, w, _)| w).sum::<f64>();
             weighted_sum += absent_weight * default;
             let score = weighted_sum / total_weight;
             if heap.len() < k {
@@ -605,13 +598,13 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
             }
         }
 
-        // Advance every essential list positioned at cand.
-        for &i in &ord[..m] {
-            if let Some((d, _)) = heads[i] {
-                if d == cand {
-                    heads[i] = advance_list(store, &mut lists[i], &mut cursors[i], &mut stats)?;
-                }
-            }
+        // Advance every list still essential that is positioned at cand
+        // (theta may have shrunk m; the probes touched only lists past the
+        // old m).
+        for &j in at_cand[..hits].iter().take_while(|&&j| j < m) {
+            let i = ord[j];
+            (head_doc[j], head_tf[j]) =
+                advance_list(store, &mut lists[i], &mut cursors[i], &mut stats)?;
         }
     }
 
@@ -721,7 +714,7 @@ mod tests {
 
     #[test]
     fn daat_handles_unknown_terms() {
-        let (mut store, dict, docs, stop) = corpus();
+        let (mut store, dict, docs, _stop) = corpus();
         let ranked = rank_daat(
             &mut store,
             &dict,
@@ -736,8 +729,6 @@ mod tests {
         for s in &ranked {
             assert!([0u32, 2].contains(&s.doc.0));
         }
-        let stop2 = stop;
-        let _ = stop2;
     }
 
     #[test]

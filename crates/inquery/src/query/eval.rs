@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use crate::belief::{BeliefParams, CollectionStats};
+use crate::belief::{BeliefParams, CollectionStats, ListIdf};
 use crate::dict::Dictionary;
 use crate::documents::DocTable;
 use crate::error::{InqueryError, Result};
@@ -145,8 +145,10 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
         Ok(Some(record))
     }
 
-    fn doc_len(&self, doc: DocId) -> u32 {
-        self.docs.info(doc).len
+    /// Belief of `tf` occurrences in `doc`, for a list whose idf factor
+    /// was built once with [`BeliefParams::list_idf`].
+    fn belief(&self, tf: u32, doc: DocId, idf: ListIdf) -> f64 {
+        self.params.belief(tf, self.params.len_term(self.docs.info(doc).len, &self.stats), idf)
     }
 
     /// Evaluates a query tree into a score list.
@@ -207,12 +209,9 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
         let Some(record) = self.fetch_record(term)? else {
             return Ok(ScoreList::uniform(default));
         };
-        let df = record.df();
-        let entries = record
-            .postings
-            .iter()
-            .map(|p| (p.doc, self.params.term_belief(p.tf, self.doc_len(p.doc), df, &self.stats)))
-            .collect();
+        let idf = self.params.list_idf(record.df(), &self.stats);
+        let entries =
+            record.postings.iter().map(|p| (p.doc, self.belief(p.tf, p.doc, idf))).collect();
         Ok(ScoreList { default, entries })
     }
 
@@ -264,12 +263,10 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
                 doc_tf.push((doc, count));
             }
         }
-        let df = doc_tf.len() as u32;
+        let idf = self.params.list_idf(doc_tf.len() as u32, &self.stats);
         let default = self.params.default_belief;
-        let entries = doc_tf
-            .into_iter()
-            .map(|(doc, tf)| (doc, self.params.term_belief(tf, self.doc_len(doc), df, &self.stats)))
-            .collect();
+        let entries =
+            doc_tf.into_iter().map(|(doc, tf)| (doc, self.belief(tf, doc, idf))).collect();
         Ok(ScoreList { default, entries })
     }
 
