@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the system's hot components: compression,
-//! the hash dictionary, record decoding, the segment buffer, and single
-//! record lookups through each storage backend.
+//! record updates, the hash dictionary, record decoding, the segment
+//! buffer, and single record lookups through each storage backend.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -47,6 +47,49 @@ fn bench_codec(c: &mut Criterion) {
                 codec::encode_vbyte(v, &mut out);
             }
             black_box(out)
+        });
+    });
+    group.finish();
+}
+
+/// One document's update to a long list (~20k postings, 157 blocks): the
+/// splice the engine runs against the decode-modify-encode it replaced.
+fn bench_record_update(c: &mut Criterion) {
+    let record = make_record(20_000);
+    let bytes = record.encode();
+    let next = DocId(20_000 * 3);
+    let positions = [4u32, 9, 30];
+    // The update workload removes recent documents: one in the last block.
+    let victim = record.postings[19_990].doc;
+    let mut out = Vec::with_capacity(bytes.len() + 64);
+    let mut group = c.benchmark_group("record_update");
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("append_splice", |b| {
+        b.iter(|| {
+            poir_inquery::splice_append(&bytes, next, &positions, &mut out).unwrap();
+            black_box(out.len())
+        });
+    });
+    group.bench_function("append_recode", |b| {
+        b.iter(|| {
+            let mut r = InvertedRecord::decode(&bytes).unwrap();
+            r.cf += positions.len() as u64;
+            r.max_tf = r.max_tf.max(positions.len() as u32);
+            r.postings.push(Posting { doc: next, tf: 3, positions: positions.to_vec() });
+            black_box(r.encode())
+        });
+    });
+    group.bench_function("remove_splice", |b| {
+        b.iter(|| black_box(poir_inquery::splice_remove(&bytes, victim, &mut out).unwrap()));
+    });
+    group.bench_function("remove_recode", |b| {
+        b.iter(|| {
+            let mut r = InvertedRecord::decode(&bytes).unwrap();
+            let i = r.postings.binary_search_by_key(&victim, |p| p.doc).unwrap();
+            let removed = r.postings.remove(i);
+            r.cf = r.cf.saturating_sub(removed.tf as u64);
+            r.max_tf = r.postings.iter().map(|p| p.tf).max().unwrap_or(0);
+            black_box(r.encode())
         });
     });
     group.finish();
@@ -253,6 +296,6 @@ fn bench_query_eval(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_codec, bench_dictionary, bench_buffer, bench_backends, bench_query_eval
+    targets = bench_codec, bench_record_update, bench_dictionary, bench_buffer, bench_backends, bench_query_eval
 }
 criterion_main!(benches);

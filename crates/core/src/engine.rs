@@ -22,7 +22,7 @@ use poir_btree::BTreeConfig;
 use poir_inquery::query::daat;
 use poir_inquery::{
     BeliefParams, BlockCache, Dictionary, DocId, DocTable, Evaluator, Index, InvertedFileStore,
-    StopWords,
+    RecordBytes, StopWords, TermId,
 };
 use poir_mneme::BufferStats;
 use poir_storage::{Device, FileHandle, IoSnapshot, SimTime};
@@ -775,81 +775,87 @@ impl Engine {
     /// service the paper's conclusions call for, enabled by the object
     /// store (Mneme backends only; the archival B-tree configuration
     /// requires re-indexing, as in the original INQUERY).
+    ///
+    /// Each touched record is rewritten by [`poir_inquery::splice_append`],
+    /// byte-identical to decoding, pushing the posting and re-encoding. The
+    /// update is all or nothing: the document-table entry, the dictionary
+    /// statistics and any new terms are committed only after the last
+    /// record is written, and an error part-way puts every record already
+    /// written back (see [`Engine::remove_document`]).
     pub fn add_document(&mut self, name: &str, text: &str) -> Result<DocId> {
-        let StoreImpl::Mneme(store) = &mut self.store else {
+        let Engine { store, dict, docs, stop, .. } = self;
+        let StoreImpl::Mneme(store) = store else {
             return Err(CoreError::Unsupported("incremental update on the B-tree backend"));
         };
         let raw_tokens =
             text.split(|c: char| !c.is_ascii_alphanumeric()).filter(|t| !t.is_empty()).count();
-        let doc = self.docs.push(name.to_string(), raw_tokens as u32);
+        // The id the document table hands out at commit.
+        let doc = DocId(docs.len() as u32);
         // Ascending term order, not hash order: which record relocates to
         // end-of-file first decides the file's size and bytes written.
         let mut by_term: std::collections::BTreeMap<String, Vec<u32>> =
             std::collections::BTreeMap::new();
-        for (token, pos) in poir_inquery::tokenize(text, &self.stop) {
+        for (token, pos) in poir_inquery::tokenize(text, stop) {
             by_term.entry(token).or_default().push(pos);
         }
-        for (token, positions) in by_term {
-            let tf = positions.len() as u32;
-            let posting = poir_inquery::Posting { doc, tf, positions };
-            match self.dict.lookup(&token) {
-                Some(id) => {
-                    let store_ref = self.dict.entry(id).store_ref;
-                    let bytes = store.fetch(store_ref)?;
-                    let mut record = poir_inquery::InvertedRecord::decode(&bytes)
-                        .ok_or_else(|| CoreError::CorruptRecord(format!("record for {token:?}")))?;
-                    record.cf += tf as u64;
-                    record.max_tf = record.max_tf.max(tf);
-                    record.postings.push(posting);
-                    let new_ref = store.update_record(store_ref, &record.encode())?;
-                    let entry = self.dict.entry_mut(id);
-                    entry.store_ref = new_ref;
-                    entry.df += 1;
-                    entry.cf += tf as u64;
-                }
-                None => {
-                    let record = poir_inquery::InvertedRecord::from_postings(vec![posting]);
-                    let store_ref = store.insert_record(&record.encode())?;
-                    let id = self.dict.intern(&token);
-                    let entry = self.dict.entry_mut(id);
-                    entry.store_ref = store_ref;
-                    entry.df = 1;
-                    entry.cf = tf as u64;
-                }
-            }
+        let mut rewrites = Vec::with_capacity(by_term.len());
+        let mut spliced = Vec::new();
+        let written = by_term.iter().try_for_each(|(token, positions)| {
+            append_posting(store, dict, &mut rewrites, token, doc, positions, &mut spliced)
+        });
+        if let Err(e) = written {
+            return Err(roll_back(store, dict, rewrites, e));
         }
+        // Commit. New terms intern in ascending order, as they always have.
+        for r in rewrites {
+            let id = r.prior.map_or_else(|| dict.intern(r.token), |(id, _)| id);
+            let entry = dict.entry_mut(id);
+            entry.store_ref = r.store_ref;
+            entry.df += 1;
+            entry.cf += r.tf as u64;
+        }
+        let pushed = docs.push(name.to_string(), raw_tokens as u32);
+        debug_assert_eq!(pushed, doc);
         Ok(doc)
     }
 
     /// Incrementally removes a document, given its original text (the
-    /// deletion side of dynamic update; leaves holes that [`poir_mneme::gc`]
-    /// reclaims). Mneme backends only.
+    /// deletion side of dynamic update). Mneme backends only.
+    ///
+    /// Each touched record is rewritten by [`poir_inquery::splice_remove`];
+    /// a record that does not decode where the splice reads it is a
+    /// [`CoreError::CorruptRecord`]. Like [`Engine::add_document`] the
+    /// update is all or nothing: dictionary statistics change only after the
+    /// last record is written, and on an error every record already written
+    /// is rewritten from the bytes fetched for it (a new term's record is
+    /// deleted). A restore that itself fails leaves that record as the
+    /// update wrote it; the caller sees the update's own error either way.
+    ///
+    /// A record that outgrows its slot moves to the end of the file, and
+    /// the space it leaves is reclaimed only by an explicit
+    /// [`poir_mneme::gc::compact`] pass, which no engine path runs.
     pub fn remove_document(&mut self, doc: DocId, text: &str) -> Result<()> {
-        let StoreImpl::Mneme(store) = &mut self.store else {
+        let Engine { store, dict, stop, .. } = self;
+        let StoreImpl::Mneme(store) = store else {
             return Err(CoreError::Unsupported("incremental update on the B-tree backend"));
         };
-        let mut terms: Vec<String> =
-            poir_inquery::tokenize(text, &self.stop).map(|(t, _)| t).collect();
+        let mut terms: Vec<String> = poir_inquery::tokenize(text, stop).map(|(t, _)| t).collect();
         terms.sort_unstable();
         terms.dedup();
-        for token in terms {
-            let Some(id) = self.dict.lookup(&token) else { continue };
-            let store_ref = self.dict.entry(id).store_ref;
-            let bytes = store.fetch(store_ref)?;
-            let Some(mut record) = poir_inquery::InvertedRecord::decode(&bytes) else {
-                continue;
-            };
-            let Ok(i) = record.postings.binary_search_by_key(&doc, |p| p.doc) else {
-                continue;
-            };
-            let removed = record.postings.remove(i);
-            record.cf = record.cf.saturating_sub(removed.tf as u64);
-            record.max_tf = record.postings.iter().map(|p| p.tf).max().unwrap_or(0);
-            let new_ref = store.update_record(store_ref, &record.encode())?;
-            let entry = self.dict.entry_mut(id);
-            entry.store_ref = new_ref;
+        let mut rewrites = Vec::with_capacity(terms.len());
+        let mut spliced = Vec::new();
+        let written = terms.iter().try_for_each(|token| {
+            remove_posting(store, dict, &mut rewrites, token, doc, &mut spliced)
+        });
+        if let Err(e) = written {
+            return Err(roll_back(store, dict, rewrites, e));
+        }
+        for r in rewrites {
+            let (id, _) = r.prior.expect("removal rewrites existing terms");
+            let entry = dict.entry_mut(id);
+            entry.store_ref = r.store_ref;
             entry.df = entry.df.saturating_sub(1);
-            entry.cf = entry.cf.saturating_sub(removed.tf as u64);
+            entry.cf = entry.cf.saturating_sub(r.tf as u64);
         }
         Ok(())
     }
@@ -919,6 +925,112 @@ impl Engine {
         };
         Self::assemble(b, backend, dict, docs, store, store_handle)
     }
+}
+
+/// One record an update has written, held until the update commits (to
+/// apply its dictionary change) or fails (to put the record back).
+struct Rewrite<'t> {
+    token: &'t str,
+    /// Where the record lives now.
+    store_ref: u64,
+    /// Occurrences of the term in the document added or removed.
+    tf: u32,
+    /// The term's id and its record as fetched before the update; `None`
+    /// for a term this update introduces, which is interned only at commit.
+    prior: Option<(TermId, RecordBytes)>,
+}
+
+fn corrupt(token: &str) -> CoreError {
+    CoreError::CorruptRecord(format!("record for {token:?}"))
+}
+
+/// Writes `token`'s record with `doc`'s posting appended (a fresh record
+/// for a term the dictionary lacks) and queues the write in `rewrites`.
+fn append_posting<'t>(
+    store: &mut MnemeInvertedFile,
+    dict: &Dictionary,
+    rewrites: &mut Vec<Rewrite<'t>>,
+    token: &'t str,
+    doc: DocId,
+    positions: &[u32],
+    spliced: &mut Vec<u8>,
+) -> Result<()> {
+    let tf = positions.len() as u32;
+    let Some(id) = dict.lookup(token) else {
+        // Tokenizer positions are ascending and never empty.
+        poir_inquery::splice_append(poir_inquery::EMPTY_RECORD, doc, positions, spliced)
+            .expect("a fresh record takes any posting");
+        let store_ref = store.insert_record(spliced)?;
+        rewrites.push(Rewrite { token, store_ref, tf, prior: None });
+        return Ok(());
+    };
+    let store_ref = dict.entry(id).store_ref;
+    let before = store.fetch(store_ref)?;
+    poir_inquery::splice_append(&before, doc, positions, spliced).ok_or_else(|| corrupt(token))?;
+    let r = Rewrite { token, store_ref, tf, prior: Some((id, before)) };
+    rewrite(store, rewrites, r, spliced)
+}
+
+/// Writes `token`'s record with `doc`'s posting removed and queues the
+/// write in `rewrites`; a term or list without `doc` is left alone.
+fn remove_posting<'t>(
+    store: &mut MnemeInvertedFile,
+    dict: &Dictionary,
+    rewrites: &mut Vec<Rewrite<'t>>,
+    token: &'t str,
+    doc: DocId,
+    spliced: &mut Vec<u8>,
+) -> Result<()> {
+    let Some(id) = dict.lookup(token) else { return Ok(()) };
+    let store_ref = dict.entry(id).store_ref;
+    let before = store.fetch(store_ref)?;
+    let removed =
+        poir_inquery::splice_remove(&before, doc, spliced).ok_or_else(|| corrupt(token))?;
+    let Some(tf) = removed else { return Ok(()) };
+    let r = Rewrite { token, store_ref, tf, prior: Some((id, before)) };
+    rewrite(store, rewrites, r, spliced)
+}
+
+/// Writes `spliced` over the record `r` names and queues `r` for commit or
+/// undo. A write that fails is queued too, under its old reference: it may
+/// have moved the record part-way, so the undo restores it with the rest.
+fn rewrite<'t>(
+    store: &mut MnemeInvertedFile,
+    rewrites: &mut Vec<Rewrite<'t>>,
+    mut r: Rewrite<'t>,
+    spliced: &[u8],
+) -> Result<()> {
+    let written = store.update_record(r.store_ref, spliced);
+    if let Ok(new_ref) = written {
+        r.store_ref = new_ref;
+    }
+    rewrites.push(r);
+    written.map(drop)
+}
+
+/// Undoes a failed update's writes, newest first, and hands back its
+/// error: a rewritten record gets its fetched bytes again (re-inserted if
+/// the failed write left no object to update, with the dictionary
+/// following wherever the store puts it), and a new term's record is
+/// deleted.
+fn roll_back(
+    store: &mut MnemeInvertedFile,
+    dict: &mut Dictionary,
+    rewrites: Vec<Rewrite<'_>>,
+    error: CoreError,
+) -> CoreError {
+    for r in rewrites.into_iter().rev() {
+        let Some((id, before)) = r.prior else {
+            let _ = store.delete_record(r.store_ref);
+            continue;
+        };
+        let restored =
+            store.update_record(r.store_ref, &before).or_else(|_| store.insert_record(&before));
+        if let Ok(store_ref) = restored {
+            dict.entry_mut(id).store_ref = store_ref;
+        }
+    }
+    error
 }
 
 /// The engines' retry policy: the default budget, immediately — the

@@ -304,6 +304,13 @@ impl MnemeInvertedFile {
         let id = self.file.create_object(pool_for_with(bytes.len(), self.large_min), bytes)?;
         Ok(id.raw() as u64)
     }
+
+    /// Deletes a record (an update undoing its insert of a new term's
+    /// record). The slot is tombstoned, like every other freed object.
+    pub fn delete_record(&mut self, store_ref: u64) -> Result<()> {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+        Ok(self.file.delete(Self::object_id(store_ref)?)?)
+    }
 }
 
 /// The owned store reads through the same path as its shared views: each

@@ -1,30 +1,43 @@
 //! Engine-level integration tests: the three storage configurations must
 //! agree on retrieval results while exhibiting the paper's distinct I/O
-//! profiles.
+//! profiles, and incremental updates must match an oracle and leave no
+//! trace when they fail.
 
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use poir_core::{BackendKind, Engine};
-use poir_inquery::{Index, IndexBuilder, StopWords};
-use poir_storage::{CostModel, Device, DeviceConfig};
+use proptest::prelude::*;
+
+use poir_core::{BackendKind, Engine, MnemeInvertedFile};
+use poir_inquery::{
+    DocId, Index, IndexBuilder, InvertedFileStore, InvertedRecord, Posting, StopWords,
+};
+use poir_storage::{
+    CostModel, Device, DeviceConfig, FaultKind, FaultOp, FaultPlan, FaultRule, FaultSchedule,
+};
+
+/// Document `d` of a deterministic pseudo-corpus with skewed term
+/// frequencies and some topical repetition, so different operators have
+/// work to do.
+fn doc_text(d: usize) -> String {
+    let mut text = String::new();
+    for t in 0..60 {
+        let rank = (d * 31 + t * 17) % 211; // common terms
+        text.push_str(&format!("w{rank} "));
+        if (d + t).is_multiple_of(7) {
+            text.push_str(&format!("rare{d} ", d = d % 37));
+        }
+    }
+    if d.is_multiple_of(5) {
+        text.push_str("object store performance ");
+    }
+    text
+}
 
 fn build_index(num_docs: usize) -> Index {
     let mut b = IndexBuilder::new(StopWords::default());
-    // Deterministic pseudo-corpus with skewed term frequencies and some
-    // topical repetition so different operators have work to do.
     for d in 0..num_docs {
-        let mut text = String::new();
-        for t in 0..60 {
-            let rank = (d * 31 + t * 17) % 211; // common terms
-            text.push_str(&format!("w{rank} "));
-            if (d + t) % 7 == 0 {
-                text.push_str(&format!("rare{d} ", d = d % 37));
-            }
-        }
-        if d % 5 == 0 {
-            text.push_str("object store performance ");
-        }
-        b.add_document(&format!("DOC-{d:04}"), &text);
+        b.add_document(&format!("DOC-{d:04}"), &doc_text(d));
     }
     b.finish()
 }
@@ -184,20 +197,8 @@ fn incremental_add_matches_full_reindex_scores() {
     let partial = build_index(50);
     let mut incremental =
         Engine::builder(&dev).backend(BackendKind::MnemeCache).build(partial).unwrap();
-    // Regenerate documents 50..60 exactly as build_index does.
     for d in 50..60 {
-        let mut text = String::new();
-        for t in 0..60 {
-            let rank = (d * 31 + t * 17) % 211;
-            text.push_str(&format!("w{rank} "));
-            if (d + t) % 7 == 0 {
-                text.push_str(&format!("rare{d} ", d = d % 37));
-            }
-        }
-        if d % 5 == 0 {
-            text.push_str("object store performance ");
-        }
-        incremental.add_document(&format!("DOC-{d:04}"), &text).unwrap();
+        incremental.add_document(&format!("DOC-{d:04}"), &doc_text(d)).unwrap();
     }
     for q in QUERIES {
         let a = batch.query(q, 15).unwrap();
@@ -254,5 +255,208 @@ fn store_file_sizes_are_reported() {
     for e in &mut engines {
         let size = e.store_file_size().unwrap();
         assert!(size > 8192, "{}: {size}", e.backend().label());
+    }
+}
+
+/// The text the update-failure tests add and remove: common, rare and
+/// brand-new terms, one of them twice.
+const UPDATE_TEXT: &str = "object store zyzzyva w3 w17 w17 rare5 performance quokka";
+
+/// Queries over [`UPDATE_TEXT`]'s terms whose rankings must survive a
+/// failed update bit for bit.
+const PROBES: &[&str] =
+    &["w3 w17 rare5", "zyzzyva quokka w3", "#phrase(object store)", "#and(w17 performance)"];
+
+/// The document count, the dictionary's size, and `(df, cf)` of every
+/// term of [`UPDATE_TEXT`] (`None` if absent).
+type TermStats = (usize, usize, Vec<Option<(u32, u64)>>);
+
+fn term_stats(engine: &Engine) -> TermStats {
+    let dict = engine.dictionary();
+    let stats = poir_inquery::tokenize(UPDATE_TEXT, engine.stop_words())
+        .map(|(t, _)| dict.lookup(&t).map(|id| (dict.entry(id).df, dict.entry(id).cf)))
+        .collect();
+    (engine.documents().len(), dict.len(), stats)
+}
+
+/// What an update can change, as the engine's users see it: the term
+/// statistics, and each probe's ranking as doc order and score bits.
+fn observe(engine: &mut Engine) -> (TermStats, Vec<Vec<(DocId, u64)>>) {
+    let rankings = PROBES
+        .iter()
+        .map(|q| engine.query(q, 30).unwrap().iter().map(|h| (h.doc, h.score.to_bits())).collect())
+        .collect();
+    (term_stats(engine), rankings)
+}
+
+/// Unbuffered, so every record fetch reaches the device.
+fn fresh_for_faults(dev: &Arc<Device>) -> Engine {
+    Engine::builder(dev).backend(BackendKind::MnemeNoCache).build(build_index(150)).unwrap()
+}
+
+/// Live objects in the engine's store, counted through a second handle
+/// on the saved file (an orphaned record shows here and nowhere else).
+fn live_objects(engine: &mut Engine) -> usize {
+    engine.save(&engine.device().create_file()).unwrap();
+    let mut store = MnemeInvertedFile::open(engine.store_handle().clone(), 0).unwrap();
+    store.mneme().live_object_ids().unwrap().len()
+}
+
+fn read_fault(n: u64) -> FaultPlan {
+    FaultPlan::new().rule(FaultRule::new(FaultOp::Read, FaultKind::Eio, FaultSchedule::Nth { n }))
+}
+
+/// Sweeps a failing read across every stage of `update` (run after
+/// `setup`): with the `n`-th read failing the update must fail, change
+/// nothing visible, and leave the engine able to run it again to the same
+/// end state as an engine that never saw the fault.
+fn assert_failed_update_leaves_no_trace(
+    setup: impl Fn(&mut Engine),
+    update: impl Fn(&mut Engine) -> poir_core::Result<()>,
+) {
+    let dev = device();
+    let mut clean = fresh_for_faults(&dev);
+    setup(&mut clean);
+    // A plan that matches every read and never fires counts the update's.
+    dev.install_fault_plan(read_fault(u64::MAX));
+    update(&mut clean).unwrap();
+    let reads = dev.fault_stats().ops_matched;
+    dev.clear_fault_plan();
+    assert!(reads > 8, "{reads} reads");
+    let clean_end = observe(&mut clean);
+    let mut untouched = fresh_for_faults(&device());
+    setup(&mut untouched);
+    let objects = live_objects(&mut untouched);
+
+    for n in [0, 1, reads / 3, reads / 2, reads - 2, reads - 1] {
+        let dev = device();
+        let mut engine = fresh_for_faults(&dev);
+        setup(&mut engine);
+        let before = observe(&mut engine);
+        dev.install_fault_plan(read_fault(n));
+        assert!(update(&mut engine).is_err(), "read {n} of {reads} failed, the update did not");
+        assert_eq!(dev.fault_stats().eio, 1);
+        dev.clear_fault_plan();
+        assert_eq!(observe(&mut engine), before, "read {n}: the failed update left a trace");
+        assert_eq!(live_objects(&mut engine), objects, "read {n}: an orphaned record");
+        update(&mut engine).unwrap();
+        assert_eq!(observe(&mut engine), clean_end, "read {n}: the retried update diverged");
+    }
+}
+
+#[test]
+fn failed_add_leaves_no_trace() {
+    assert_failed_update_leaves_no_trace(
+        |_| {},
+        |e| e.add_document("NEW-1", UPDATE_TEXT).map(|doc| assert_eq!(doc, DocId(150))),
+    );
+}
+
+#[test]
+fn failed_remove_leaves_no_trace() {
+    assert_failed_update_leaves_no_trace(
+        |e| assert_eq!(e.add_document("NEW-1", UPDATE_TEXT).unwrap(), DocId(150)),
+        |e| e.remove_document(DocId(150), UPDATE_TEXT),
+    );
+}
+
+#[test]
+fn remove_reports_an_undecodable_record() {
+    let dev = device();
+    let mut engine = fresh_for_faults(&dev);
+    let doc = engine.add_document("NEW-1", UPDATE_TEXT).unwrap();
+    let before = term_stats(&engine);
+    // Overwrite "quokka"'s record with bytes no writer emits, through a
+    // second handle on the saved store.
+    let meta = dev.create_file();
+    engine.save(&meta).unwrap();
+    let id = engine.dictionary().lookup("quokka").unwrap();
+    let store_ref = engine.dictionary().entry(id).store_ref;
+    let mut store = MnemeInvertedFile::open(engine.store_handle().clone(), 0).unwrap();
+    assert_eq!(store.update_record(store_ref, &[0x85, 0x81]).unwrap(), store_ref);
+    store.flush().unwrap();
+    drop(store);
+    let mut reopened = Engine::builder(&dev).open(engine.store_handle().clone(), &meta).unwrap();
+    let err = reopened.remove_document(doc, UPDATE_TEXT).unwrap_err();
+    assert!(matches!(err, poir_core::CoreError::CorruptRecord(_)), "{err}");
+    // The terms before "quokka" were rewritten, then put back.
+    assert_eq!(term_stats(&reopened), before);
+    let hits = reopened.query("object performance", 200).unwrap();
+    assert!(hits.iter().any(|h| h.doc == doc));
+}
+
+/// Word `n` of the generated documents' vocabulary: indexed common terms,
+/// terms no indexed document has, and the indexed rare ones.
+fn word(n: u32) -> String {
+    match n {
+        0..=210 => format!("w{n}"),
+        211..=239 => format!("fresh{n}"),
+        _ => format!("rare{}", n % 37),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// After any add/remove sequence, every touched term's record and
+    /// dictionary statistics equal a HashMap oracle built from the raw
+    /// texts of the surviving documents under their assigned ids. The base
+    /// collection puts the common terms around df 130, so updates move
+    /// lists across the 128-posting layout boundary both ways, and removals
+    /// of base documents re-pack from the first block.
+    #[test]
+    fn update_sequences_match_a_rebuilt_oracle(
+        ops in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec(0u32..260, 1..40), any::<usize>()),
+            1..12,
+        ),
+    ) {
+        const BASE: usize = 460;
+        let dev = device();
+        let mut engine = Engine::builder(&dev)
+            .backend(BackendKind::MnemeCache)
+            .build(build_index(BASE))
+            .unwrap();
+        let mut live: Vec<(DocId, String)> =
+            (0..BASE).map(|d| (DocId(d as u32), doc_text(d))).collect();
+        let mut touched = BTreeSet::new();
+        for (kind, words, pick) in ops {
+            let stop = engine.stop_words().clone();
+            if kind < 2 {
+                let text: Vec<String> = words.into_iter().map(word).collect();
+                let text = text.join(" ");
+                let doc = engine.add_document("GEN", &text).unwrap();
+                prop_assert_eq!(doc, DocId(engine.documents().len() as u32 - 1));
+                touched.extend(poir_inquery::tokenize(&text, &stop).map(|(t, _)| t));
+                live.push((doc, text));
+            } else {
+                let (doc, text) = live.remove(pick % live.len());
+                engine.remove_document(doc, &text).unwrap();
+                touched.extend(poir_inquery::tokenize(&text, &stop).map(|(t, _)| t));
+            }
+        }
+        // The oracle: postings from the surviving texts, in doc-id order.
+        let mut oracle: HashMap<String, Vec<Posting>> = HashMap::new();
+        for (doc, text) in &live {
+            let mut by_term: HashMap<String, Vec<u32>> = HashMap::new();
+            for (t, pos) in poir_inquery::tokenize(text, engine.stop_words()) {
+                by_term.entry(t).or_default().push(pos);
+            }
+            for (t, positions) in by_term {
+                let tf = positions.len() as u32;
+                oracle.entry(t).or_default().push(Posting { doc: *doc, tf, positions });
+            }
+        }
+        // Read the records back through a second handle on the saved store.
+        engine.save(&dev.create_file()).unwrap();
+        let mut store = MnemeInvertedFile::open(engine.store_handle().clone(), 0).unwrap();
+        let dict = engine.dictionary();
+        for term in &touched {
+            let want = InvertedRecord::from_postings(oracle.remove(term).unwrap_or_default());
+            let entry = dict.entry(dict.lookup(term).unwrap());
+            prop_assert_eq!((entry.df, entry.cf), (want.df(), want.cf), "term {}", term);
+            let bytes = store.fetch(entry.store_ref).unwrap();
+            prop_assert_eq!(InvertedRecord::decode(&bytes), Some(want), "term {}", term);
+        }
     }
 }

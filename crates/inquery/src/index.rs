@@ -20,7 +20,7 @@ use crate::codec::encode_vbyte;
 use crate::dict::{Dictionary, TermId};
 use crate::documents::DocTable;
 use crate::postings::{
-    encode_v2_directory, encode_v2_header, interleave_vbyte_postings, pack_block, DocId,
+    encode_header, encode_v2_directory, interleave_vbyte_postings, pack_block, DocId,
     InvertedRecord, BLOCK_SIZE,
 };
 use crate::text::{tokenize, StopWords};
@@ -161,29 +161,16 @@ impl IndexBuilder {
                 let term = TermId(i as u32);
                 let cf = dict.entry(term).cf;
                 let mut record = Vec::with_capacity(16 + acc.body.len() + acc.cur_pos.len());
+                encode_header(acc.df, cf, acc.max_tf, &mut record);
                 if acc.df > BLOCK_SIZE {
                     // Bit-packed v2 layout: close the final block, then
-                    // emit header, directory, and the packed body (matches
+                    // emit the directory and the packed body (matches
                     // InvertedRecord::encode byte for byte — pack_block is
                     // shared).
                     acc.flush_block();
-                    encode_v2_header(acc.df, cf, acc.max_tf, &mut record);
-                    encode_v2_directory(&acc.blocks, &mut record);
+                    encode_v2_directory(&acc.blocks, 0, &mut record);
                     record.extend_from_slice(&acc.body);
-                } else if cf > u32::MAX as u64 {
-                    // Short record whose cf needs 64 bits: v2 extended
-                    // header over the v1 posting stream.
-                    encode_v2_header(acc.df, cf, acc.max_tf, &mut record);
-                    interleave_vbyte_postings(
-                        &acc.cur_gaps,
-                        &acc.cur_tfs_m1,
-                        &acc.cur_pos,
-                        &mut record,
-                    );
                 } else {
-                    encode_vbyte(acc.df, &mut record);
-                    encode_vbyte(cf as u32, &mut record);
-                    encode_vbyte(acc.max_tf, &mut record);
                     interleave_vbyte_postings(
                         &acc.cur_gaps,
                         &acc.cur_tfs_m1,

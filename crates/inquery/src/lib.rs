@@ -43,7 +43,8 @@ pub use index::{Index, IndexBuilder};
 pub use metrics::Judgments;
 pub use porter::stem;
 pub use postings::{
-    BlockCursor, DocId, InvertedRecord, Posting, PostingsCursor, SeekSummary, SkipBlock, BLOCK_SIZE,
+    splice_append, splice_remove, BlockCursor, DocId, InvertedRecord, Posting, PostingsCursor,
+    SeekSummary, SkipBlock, BLOCK_SIZE, EMPTY_RECORD,
 };
 pub use query::{
     merge_topk, parse_query, rank_score_list, Evaluator, QueryNode, ScoreList, ScoredDoc,

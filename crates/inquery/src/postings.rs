@@ -46,6 +46,21 @@
 //!
 //! Document ids and within-document positions are delta-coded, which gives
 //! the ~60% compression the paper reports on posting-heavy records.
+//!
+//! **Splicing.** Incremental update never decodes a record into
+//! [`Posting`]s. [`splice_append`] adds a posting for a document newer than
+//! every one in the list: it re-emits the header, copies the v1 posting
+//! stream (or every directory entry and block but the last) verbatim, and
+//! re-packs only the last block, or opens a new one when the last is full.
+//! [`splice_remove`] copies every block before the one holding the
+//! document and re-packs the suffix from raw arrays (doc gaps, tf−1 values,
+//! position bytes), because blocks are fixed 128-posting chunks from the
+//! head of the list. A record that crosses `df` 128 ↔ 129 is re-packed
+//! whole. The invariant: for every record [`InvertedRecord::encode`] (or the
+//! index builder) wrote, a splice is byte-identical to `decode`, push or
+//! remove one posting, `encode` — both pack blocks and write directory
+//! entries through the same code, and the bytes a splice copies are the
+//! bytes `encode` would have re-emitted.
 
 use std::sync::Arc;
 
@@ -120,68 +135,37 @@ impl InvertedRecord {
     /// short records, bit-packed v2 blocks when `df > BLOCK_SIZE` (or when
     /// cf needs more than 32 bits).
     pub fn encode(&self) -> Vec<u8> {
-        let df = self.postings.len() as u32;
-        let mut out = Vec::with_capacity(8 + self.postings.len() * 4);
-        if df <= BLOCK_SIZE && self.cf <= u32::MAX as u64 {
-            encode_vbyte(df, &mut out);
-            encode_vbyte(self.cf as u32, &mut out);
-            encode_vbyte(self.max_tf, &mut out);
-            let mut prev_doc = 0u32;
-            let mut first = true;
-            for p in &self.postings {
-                encode_posting(p, &mut first, &mut prev_doc, &mut out);
-            }
-            return out;
-        }
-        encode_v2_header(df, self.cf, self.max_tf, &mut out);
-        if df <= BLOCK_SIZE {
-            // An over-u32 cf on a short list: extended header, v1 postings.
-            let mut prev_doc = 0u32;
-            let mut first = true;
-            for p in &self.postings {
-                encode_posting(p, &mut first, &mut prev_doc, &mut out);
-            }
-            return out;
-        }
-        // Blocked layout: pack the posting body first to learn each
-        // block's byte length and widths, then emit the directory ahead.
-        let mut body = Vec::with_capacity(self.postings.len() * 4);
-        let mut directory = Vec::with_capacity(self.postings.len().div_ceil(BLOCK_SIZE as usize));
-        let mut gaps = Vec::with_capacity(BLOCK_SIZE as usize);
-        let mut tfs_m1 = Vec::with_capacity(BLOCK_SIZE as usize);
-        let mut pos_stream = Vec::new();
+        let df = self.df();
+        let mut out = Vec::with_capacity(8 + 4 * self.postings.len());
+        encode_header(df, self.cf, self.max_tf, &mut out);
         let mut prev_doc = 0u32;
-        let mut first = true;
-        for chunk in self.postings.chunks(BLOCK_SIZE as usize) {
-            gaps.clear();
-            tfs_m1.clear();
-            pos_stream.clear();
-            let mut block_max_tf = 0u32;
-            for p in chunk {
-                gaps.push(if first { p.doc.0 } else { p.doc.0 - prev_doc });
-                first = false;
-                prev_doc = p.doc.0;
-                debug_assert!(p.tf >= 1, "v2 blocks store tf-1; every posting needs tf >= 1");
-                tfs_m1.push(p.tf.saturating_sub(1));
-                block_max_tf = block_max_tf.max(p.tf);
+        if df <= BLOCK_SIZE {
+            for p in &self.postings {
                 debug_assert_eq!(p.positions.len(), p.tf as usize);
-                let mut prev_pos = 0u32;
-                for (j, &q) in p.positions.iter().enumerate() {
-                    encode_vbyte(if j == 0 { q } else { q - prev_pos }, &mut pos_stream);
-                    prev_pos = q;
-                }
+                encode_vbyte(p.doc.0 - prev_doc, &mut out);
+                encode_vbyte(p.tf, &mut out);
+                encode_positions(&p.positions, &mut out);
+                prev_doc = p.doc.0;
             }
-            let start = body.len();
-            let (doc_width, tf_width) = pack_block(&gaps, &tfs_m1, &pos_stream, &mut body);
-            directory.push((
-                chunk[chunk.len() - 1].doc.0,
-                body.len() - start,
-                block_max_tf,
-                doc_width,
-                tf_width,
-            ));
+            return out;
         }
-        encode_v2_directory(&directory, &mut out);
+        // Blocked layout: pack the body block by block to learn each
+        // block's directory entry, then emit the directory ahead of it.
+        let mut body = Vec::with_capacity(4 * self.postings.len());
+        let mut directory = Vec::with_capacity(self.postings.len().div_ceil(BLOCK_SIZE as usize));
+        let mut block = RawRun::with_capacity(BLOCK_SIZE as usize);
+        for chunk in self.postings.chunks(BLOCK_SIZE as usize) {
+            block.clear();
+            let doc_before = prev_doc;
+            for p in chunk {
+                debug_assert!(p.tf >= 1, "v2 blocks store tf-1; every posting needs tf >= 1");
+                debug_assert_eq!(p.positions.len(), p.tf as usize);
+                block.push_positions(p.doc.0 - prev_doc, &p.positions);
+                prev_doc = p.doc.0;
+            }
+            directory.push(block.pack(0, chunk.len(), doc_before, &mut body));
+        }
+        encode_v2_directory(&directory, 0, &mut out);
         out.extend_from_slice(&body);
         out
     }
@@ -290,9 +274,17 @@ fn parse_header(bytes: &[u8], pos: &mut usize) -> Option<(u32, u64, u32, bool)> 
     Some((first, cf, max_tf, false))
 }
 
-/// Emits the v2 extended header: sentinel 0, version, df, cf split into
-/// two vbyte halves (full 64-bit round-trip), max_tf.
-pub(crate) fn encode_v2_header(df: u32, cf: u64, max_tf: u32, out: &mut Vec<u8>) {
+/// Emits a record header: the three-vbyte v1 header for a short record
+/// whose cf fits 32 bits, otherwise the v2 extended header — sentinel 0,
+/// version, df, cf split into two vbyte halves (full 64-bit round-trip),
+/// max_tf.
+pub(crate) fn encode_header(df: u32, cf: u64, max_tf: u32, out: &mut Vec<u8>) {
+    if df <= BLOCK_SIZE && cf <= u32::MAX as u64 {
+        encode_vbyte(df, out);
+        encode_vbyte(cf as u32, out);
+        encode_vbyte(max_tf, out);
+        return;
+    }
     encode_vbyte(0, out);
     encode_vbyte(FORMAT_V2, out);
     encode_vbyte(df, out);
@@ -301,12 +293,16 @@ pub(crate) fn encode_v2_header(df: u32, cf: u64, max_tf: u32, out: &mut Vec<u8>)
     encode_vbyte(max_tf, out);
 }
 
-/// Emits the v2 skip directory from
-/// `(last_doc, len, block_max_tf, doc_width, tf_width)` entries.
-pub(crate) fn encode_v2_directory(directory: &[(u32, usize, u32, u32, u32)], out: &mut Vec<u8>) {
-    let mut prev_last = 0u32;
-    for (i, &(last_doc, len, block_max_tf, doc_width, tf_width)) in directory.iter().enumerate() {
-        encode_vbyte(if i == 0 { last_doc } else { last_doc - prev_last }, out);
+/// One v2 skip-directory entry:
+/// `(last_doc, len, block_max_tf, doc_width, tf_width)`.
+pub(crate) type DirEntry = (u32, usize, u32, u32, u32);
+
+/// Emits v2 skip-directory entries for blocks that follow a block ending
+/// at `prev_last` (0 at the head of a record, making the first last-doc
+/// absolute).
+pub(crate) fn encode_v2_directory(directory: &[DirEntry], mut prev_last: u32, out: &mut Vec<u8>) {
+    for &(last_doc, len, block_max_tf, doc_width, tf_width) in directory {
+        encode_vbyte(last_doc - prev_last, out);
         prev_last = last_doc;
         debug_assert!(len <= u32::MAX as usize);
         encode_vbyte(len as u32, out);
@@ -319,8 +315,8 @@ pub(crate) fn encode_v2_directory(directory: &[(u32, usize, u32, u32, u32)], out
 /// Packs one block's raw arrays into the v2 wire form — packed doc gaps,
 /// packed tf−1 values, then the already-vbyte-coded position streams —
 /// returning the chosen `(doc_width, tf_width)`. Shared by
-/// [`InvertedRecord::encode`] and the index builder so both emit
-/// byte-identical blocks.
+/// [`InvertedRecord::encode`], the splices and the index builder so all
+/// three emit byte-identical blocks.
 pub(crate) fn pack_block(
     gaps: &[u32],
     tfs_m1: &[u32],
@@ -364,18 +360,401 @@ pub(crate) fn interleave_vbyte_postings(
     debug_assert_eq!(cursor, pos_stream.len());
 }
 
-fn encode_posting(p: &Posting, first: &mut bool, prev_doc: &mut u32, out: &mut Vec<u8>) {
-    let gap = if *first { p.doc.0 } else { p.doc.0 - *prev_doc };
-    *first = false;
-    *prev_doc = p.doc.0;
-    encode_vbyte(gap, out);
-    encode_vbyte(p.tf, out);
-    debug_assert_eq!(p.positions.len(), p.tf as usize);
-    let mut prev_pos = 0u32;
-    for (j, &pos) in p.positions.iter().enumerate() {
-        let pgap = if j == 0 { pos } else { pos - prev_pos };
-        prev_pos = pos;
-        encode_vbyte(pgap, out);
+/// Appends ascending `positions` as vbyte gaps (the first one absolute).
+fn encode_positions(positions: &[u32], out: &mut Vec<u8>) {
+    let mut prev = 0u32;
+    for &q in positions {
+        encode_vbyte(q - prev, out);
+        prev = q;
+    }
+}
+
+/// Steps `*pos` past one posting's `tf` position gaps, rejecting (as
+/// decode does) a stream that ends early or whose positions overflow a
+/// `u32`. Allocates nothing.
+fn skip_positions(bytes: &[u8], pos: &mut usize, tf: u32) -> Option<()> {
+    let mut at = 0u32;
+    for _ in 0..tf {
+        at = at.checked_add(decode_vbyte(bytes, pos)?)?;
+    }
+    Some(())
+}
+
+/// A run of consecutive postings held as the raw arrays blocks are packed
+/// from — doc gaps, tf−1 values, vbyte position bytes — so encoding and
+/// splicing never materialise a [`Posting`].
+#[derive(Debug, Default)]
+struct RawRun {
+    /// Doc gaps; the first is against the last doc before the run (0 at
+    /// the head of a record, making it absolute).
+    gaps: Vec<u32>,
+    tfs_m1: Vec<u32>,
+    /// Every posting's position gaps, vbyte-coded, back to back.
+    pos: Vec<u8>,
+    /// End of each posting's position bytes within `pos`.
+    pos_ends: Vec<usize>,
+}
+
+/// The leading blocks of a blocked record that a splice keeps verbatim:
+/// their directory entries, their bodies, and the last doc they reach.
+struct Kept<'a> {
+    dir: &'a [u8],
+    body: &'a [u8],
+    last_doc: u32,
+}
+
+impl Kept<'_> {
+    /// Nothing kept: the run is the whole record.
+    const NONE: Kept<'static> = Kept { dir: &[], body: &[], last_doc: 0 };
+}
+
+impl RawRun {
+    fn with_capacity(postings: usize) -> Self {
+        RawRun {
+            gaps: Vec::with_capacity(postings),
+            tfs_m1: Vec::with_capacity(postings),
+            pos: Vec::with_capacity(4 * postings),
+            pos_ends: Vec::with_capacity(postings),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.gaps.len()
+    }
+
+    fn clear(&mut self) {
+        self.gaps.clear();
+        self.tfs_m1.clear();
+        self.pos.clear();
+        self.pos_ends.clear();
+    }
+
+    /// Appends a posting whose position gaps are already vbyte-coded.
+    fn push(&mut self, gap: u32, tf: u32, pos: &[u8]) {
+        self.gaps.push(gap);
+        self.tfs_m1.push(tf - 1);
+        self.pos.extend_from_slice(pos);
+        self.pos_ends.push(self.pos.len());
+    }
+
+    /// Appends a posting from its ascending positions (tf = their count).
+    fn push_positions(&mut self, gap: u32, positions: &[u32]) {
+        self.gaps.push(gap);
+        self.tfs_m1.push((positions.len() as u32).saturating_sub(1));
+        encode_positions(positions, &mut self.pos);
+        self.pos_ends.push(self.pos.len());
+    }
+
+    /// Index of the posting for `doc`, summing gaps from `base`.
+    fn find(&self, base: u32, doc: u32) -> Option<usize> {
+        let mut at = base;
+        for (i, &gap) in self.gaps.iter().enumerate() {
+            at = at.checked_add(gap)?;
+            if at >= doc {
+                return (at == doc).then_some(i);
+            }
+        }
+        None
+    }
+
+    /// Removes posting `i`, folding its doc gap into the next posting's,
+    /// and returns its tf.
+    fn remove(&mut self, i: usize) -> u32 {
+        let gap = self.gaps.remove(i);
+        if let Some(next) = self.gaps.get_mut(i) {
+            *next += gap; // sums to the next doc id, which fits a u32
+        }
+        let start = if i == 0 { 0 } else { self.pos_ends[i - 1] };
+        let end = self.pos_ends.remove(i);
+        self.pos.drain(start..end);
+        for e in &mut self.pos_ends[i..] {
+            *e -= end - start;
+        }
+        self.tfs_m1.remove(i) + 1
+    }
+
+    /// Largest tf in the run (0 when empty).
+    fn max_tf(&self) -> u32 {
+        self.tfs_m1.iter().max().map_or(0, |&m| m + 1)
+    }
+
+    /// Appends block `b` of a blocked record, validating it as the cursor
+    /// and decode do: the packed arrays fit, the doc gaps sum to the
+    /// directory's last doc, no tf exceeds the block max, positions fit a
+    /// `u32`, and the position bytes fill the block exactly.
+    fn read_block(
+        &mut self,
+        bytes: &[u8],
+        blocks: &[SkipBlock],
+        b: usize,
+        df: u32,
+        scratch: &mut Vec<u32>,
+    ) -> Option<()> {
+        let blk = blocks[b];
+        let n = if b + 1 < blocks.len() {
+            BLOCK_SIZE as usize
+        } else {
+            df as usize - b * BLOCK_SIZE as usize
+        };
+        // Positions must not run past the block.
+        let bytes = bytes.get(..blk.offset.checked_add(blk.len)?)?;
+        let docs_bytes = packed_len(n, blk.doc_width);
+        let tfs_bytes = packed_len(n, blk.tf_width);
+        let packed = bytes.get(blk.offset..)?;
+        unpack_bits(packed, n, blk.doc_width, scratch)?;
+        let mut doc = if b == 0 { 0 } else { blocks[b - 1].last_doc };
+        for &gap in scratch.iter() {
+            doc = doc.checked_add(gap)?;
+        }
+        if doc != blk.last_doc {
+            return None;
+        }
+        self.gaps.extend_from_slice(scratch);
+        unpack_bits(packed.get(docs_bytes..)?, n, blk.tf_width, scratch)?;
+        if scratch.iter().any(|&t| t >= blk.max_tf) {
+            return None; // tf = t + 1 would exceed the block max
+        }
+        self.tfs_m1.extend_from_slice(scratch);
+        let start = blk.offset + docs_bytes + tfs_bytes;
+        let base = self.pos.len();
+        self.pos.extend_from_slice(bytes.get(start..)?);
+        let mut at = start;
+        for &t in scratch.iter() {
+            skip_positions(bytes, &mut at, t + 1)?;
+            self.pos_ends.push(base + at - start);
+        }
+        (at == bytes.len()).then_some(())
+    }
+
+    /// Packs postings `s..e` (non-empty) as one block onto `out`, given
+    /// the doc before `s`, and returns the block's directory entry.
+    fn pack(&self, s: usize, e: usize, doc_before: u32, out: &mut Vec<u8>) -> DirEntry {
+        let start = out.len();
+        let pos_start = if s == 0 { 0 } else { self.pos_ends[s - 1] };
+        let (gaps, tfs_m1) = (&self.gaps[s..e], &self.tfs_m1[s..e]);
+        let pos = &self.pos[pos_start..self.pos_ends[e - 1]];
+        let (doc_width, tf_width) = pack_block(gaps, tfs_m1, pos, out);
+        let last_doc = doc_before + gaps.iter().sum::<u32>();
+        let max_tf = tfs_m1.iter().max().map_or(0, |&m| m + 1);
+        (last_doc, out.len() - start, max_tf, doc_width, tf_width)
+    }
+
+    /// Writes a whole record of `df` postings: `kept` (blocks copied
+    /// verbatim) followed by this run. A blocked record cuts the run into
+    /// blocks of [`BLOCK_SIZE`] from its head; a short one (nothing kept)
+    /// writes it as the v1 posting stream.
+    fn write_record(&self, df: u32, cf: u64, max_tf: u32, kept: Kept<'_>, out: &mut Vec<u8>) {
+        encode_header(df, cf, max_tf, out);
+        if df <= BLOCK_SIZE {
+            debug_assert!(kept.dir.is_empty() && kept.body.is_empty());
+            interleave_vbyte_postings(&self.gaps, &self.tfs_m1, &self.pos, out);
+            return;
+        }
+        // The run is a block or two on the update path: pack it aside to
+        // learn its directory entries, which precede the kept body.
+        let mut packed = Vec::with_capacity(self.pos.len() + 8 * self.len());
+        let mut directory = Vec::new();
+        let mut doc = kept.last_doc;
+        for s in (0..self.len()).step_by(BLOCK_SIZE as usize) {
+            let e = (s + BLOCK_SIZE as usize).min(self.len());
+            let entry = self.pack(s, e, doc, &mut packed);
+            doc = entry.0;
+            directory.push(entry);
+        }
+        out.reserve(kept.dir.len() + 5 * 5 * directory.len() + kept.body.len() + packed.len());
+        out.extend_from_slice(kept.dir);
+        encode_v2_directory(&directory, kept.last_doc, out);
+        out.extend_from_slice(kept.body);
+        out.extend_from_slice(&packed);
+    }
+}
+
+/// Walks the v1 posting stream of `df` postings at `*pos`, validating it
+/// as decode does, and hands each posting's doc gap, tf and position bytes
+/// to `each`. Returns the last doc id (0 for an empty stream). Allocates
+/// nothing; rejects a posting with tf 0, which no writer emits.
+fn walk_stream<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    df: u32,
+    mut each: impl FnMut(u32, u32, &'a [u8]),
+) -> Option<u32> {
+    let mut doc = 0u32;
+    for _ in 0..df {
+        let gap = decode_vbyte(bytes, pos)?;
+        doc = doc.checked_add(gap)?;
+        let tf = decode_vbyte(bytes, pos)?;
+        if tf == 0 {
+            return None;
+        }
+        let start = *pos;
+        skip_positions(bytes, pos, tf)?;
+        each(gap, tf, &bytes[start..*pos]);
+    }
+    Some(doc)
+}
+
+/// A blocked record's header fields and parsed, length-checked skip
+/// directory, with where the directory starts.
+struct Blocked {
+    df: u32,
+    cf: u64,
+    max_tf: u32,
+    dir_start: usize,
+    blocks: Vec<SkipBlock>,
+}
+
+impl Blocked {
+    /// The first `keep` blocks' directory entries and bodies, verbatim.
+    fn kept<'a>(&self, bytes: &'a [u8], keep: usize) -> Option<Kept<'a>> {
+        let mut dir_end = self.dir_start;
+        for _ in 0..keep * 5 {
+            decode_vbyte(bytes, &mut dir_end)?;
+        }
+        let body_end = self.blocks.get(keep).map_or(bytes.len(), |b| b.offset);
+        Some(Kept {
+            dir: &bytes[self.dir_start..dir_end],
+            body: &bytes[self.blocks[0].offset..body_end],
+            last_doc: keep.checked_sub(1).map_or(0, |k| self.blocks[k].last_doc),
+        })
+    }
+}
+
+/// A record as the splices see it: its header and either the byte offset
+/// of its v1 posting stream or its parsed skip directory.
+enum Layout {
+    Short { df: u32, cf: u64, max_tf: u32, body: usize },
+    Blocked(Blocked),
+}
+
+fn parse_layout(bytes: &[u8]) -> Option<Layout> {
+    let mut pos = 0usize;
+    let (df, cf, max_tf, v2) = parse_header(bytes, &mut pos)?;
+    if df <= BLOCK_SIZE {
+        return Some(Layout::Short { df, cf, max_tf, body: pos });
+    }
+    if !v2 {
+        return None; // only v2 writes blocked records
+    }
+    let dir_start = pos;
+    let blocks = parse_skip_directory(bytes, &mut pos, df)?;
+    let last = blocks.last()?;
+    if last.offset.checked_add(last.len)? != bytes.len() {
+        return None;
+    }
+    Some(Layout::Blocked(Blocked { df, cf, max_tf, dir_start, blocks }))
+}
+
+/// The encoding of a record with no postings (`df`, `cf` and `max_tf` all
+/// 0): what [`splice_append`] grows a brand-new term's record from.
+pub const EMPTY_RECORD: &[u8] = &[0x80, 0x80, 0x80];
+
+/// Appends a posting for `doc`, at ascending `positions` (tf is their
+/// count), to the encoded record `bytes`, writing the new record to `out`
+/// (cleared first). The header gains `df + 1`, `cf + tf` and
+/// `max(max_tf, tf)`; see the module doc's "Splicing" for what is copied
+/// and what is re-packed.
+///
+/// Returns `None`, and leaves `out` unspecified, when the record is
+/// corrupt where the splice reads it, when `doc` does not follow the
+/// list's last document, or when `positions` is empty or descending.
+pub fn splice_append(bytes: &[u8], doc: DocId, positions: &[u32], out: &mut Vec<u8>) -> Option<()> {
+    let tf = u32::try_from(positions.len()).ok().filter(|&tf| tf > 0)?;
+    if positions.windows(2).any(|w| w[1] < w[0]) {
+        return None;
+    }
+    out.clear();
+    match parse_layout(bytes)? {
+        Layout::Short { df, cf, max_tf, body } => {
+            let (new_df, new_cf) = (df + 1, cf.checked_add(tf as u64)?);
+            // At BLOCK_SIZE postings the list turns blocked: re-pack whole.
+            let repack = new_df > BLOCK_SIZE;
+            let mut run = RawRun::default();
+            let mut pos = body;
+            let last = walk_stream(bytes, &mut pos, df, |gap, t, p| {
+                if repack {
+                    run.push(gap, t, p);
+                }
+            })?;
+            if pos != bytes.len() || (df > 0 && doc.0 <= last) {
+                return None;
+            }
+            if repack {
+                run.push_positions(doc.0 - last, positions);
+                run.write_record(new_df, new_cf, max_tf.max(tf), Kept::NONE, out);
+            } else {
+                encode_header(new_df, new_cf, max_tf.max(tf), out);
+                out.extend_from_slice(&bytes[body..]);
+                encode_vbyte(doc.0 - last, out);
+                encode_vbyte(tf, out);
+                encode_positions(positions, out);
+            }
+        }
+        Layout::Blocked(rec) => {
+            let (new_df, new_cf) = (rec.df.checked_add(1)?, rec.cf.checked_add(tf as u64)?);
+            let last = rec.blocks.len() - 1;
+            let last_doc = rec.blocks[last].last_doc;
+            if doc.0 <= last_doc {
+                return None;
+            }
+            // Re-pack the last block with the posting appended; when the
+            // block was full, the run re-packs it to the same bytes and the
+            // posting opens a block of its own.
+            let mut run = RawRun::default();
+            run.read_block(bytes, &rec.blocks, last, rec.df, &mut Vec::new())?;
+            run.push_positions(doc.0 - last_doc, positions);
+            let kept = rec.kept(bytes, last)?;
+            run.write_record(new_df, new_cf, rec.max_tf.max(tf), kept, out);
+        }
+    }
+    Some(())
+}
+
+/// Removes `doc`'s posting from the encoded record `bytes`, writing the
+/// new record to `out` (cleared first). The header gains `df − 1`,
+/// `cf − tf` (saturating) and the largest remaining tf; see the module
+/// doc's "Splicing" for what is copied and what is re-packed.
+///
+/// Returns `Some(Some(tf))` with the removed posting's tf,
+/// `Some(None)` when the list holds no posting for `doc` (and `out` is
+/// unspecified), or `None` when the record is corrupt where the splice
+/// reads it.
+pub fn splice_remove(bytes: &[u8], doc: DocId, out: &mut Vec<u8>) -> Option<Option<u32>> {
+    out.clear();
+    match parse_layout(bytes)? {
+        Layout::Short { df, cf, body, .. } => {
+            let mut run = RawRun::default();
+            let mut pos = body;
+            walk_stream(bytes, &mut pos, df, |gap, tf, p| run.push(gap, tf, p))?;
+            if pos != bytes.len() {
+                return None;
+            }
+            let Some(i) = run.find(0, doc.0) else { return Some(None) };
+            let tf = run.remove(i);
+            run.write_record(df - 1, cf.saturating_sub(tf as u64), run.max_tf(), Kept::NONE, out);
+            Some(Some(tf))
+        }
+        Layout::Blocked(rec) => {
+            let k = rec.blocks.partition_point(|b| b.last_doc < doc.0);
+            if k == rec.blocks.len() {
+                return Some(None);
+            }
+            // At BLOCK_SIZE + 1 postings the list leaves the blocked
+            // layout: re-pack whole. Otherwise every block from the one
+            // holding `doc` shifts by a posting and is re-packed.
+            let first = if rec.df == BLOCK_SIZE + 1 { 0 } else { k };
+            let mut run = RawRun::default();
+            let mut scratch = Vec::with_capacity(BLOCK_SIZE as usize);
+            for b in first..rec.blocks.len() {
+                run.read_block(bytes, &rec.blocks, b, rec.df, &mut scratch)?;
+            }
+            let kept = rec.kept(bytes, first)?;
+            let Some(i) = run.find(kept.last_doc, doc.0) else { return Some(None) };
+            let tf = run.remove(i);
+            let max_tf = rec.blocks[..first].iter().map(|b| b.max_tf).fold(run.max_tf(), u32::max);
+            run.write_record(rec.df - 1, rec.cf.saturating_sub(tf as u64), max_tf, kept, out);
+            Some(Some(tf))
+        }
     }
 }
 
@@ -1061,6 +1440,15 @@ mod tests {
         }
     }
 
+    /// One v1 posting: doc gap, tf, position gaps.
+    fn encode_posting(p: &Posting, first: &mut bool, prev_doc: &mut u32, out: &mut Vec<u8>) {
+        encode_vbyte(if *first { p.doc.0 } else { p.doc.0 - *prev_doc }, out);
+        *first = false;
+        *prev_doc = p.doc.0;
+        encode_vbyte(p.tf, out);
+        encode_positions(&p.positions, out);
+    }
+
     /// The all-vbyte blocked layout no writer emits: the input of the
     /// rejection test and the size baseline the packed layout must beat.
     fn encode_v1_blocked(r: &InvertedRecord) -> Vec<u8> {
@@ -1175,6 +1563,77 @@ mod tests {
             }
         }
         assert_eq!(cur.next(&bytes), None);
+    }
+
+    /// What the update path produced before splicing: decode, modify, encode.
+    fn recode_append(bytes: &[u8], doc: u32, positions: &[u32]) -> Vec<u8> {
+        let mut r = InvertedRecord::decode(bytes).unwrap();
+        let tf = positions.len() as u32;
+        r.cf += tf as u64;
+        r.max_tf = r.max_tf.max(tf);
+        r.postings.push(Posting { doc: DocId(doc), tf, positions: positions.to_vec() });
+        r.encode()
+    }
+
+    #[test]
+    fn empty_record_constant_is_the_encoding_of_no_postings() {
+        assert_eq!(InvertedRecord::default().encode(), EMPTY_RECORD);
+        let mut out = Vec::new();
+        splice_append(EMPTY_RECORD, DocId(9), &[4, 6], &mut out).unwrap();
+        assert_eq!(out, recode_append(EMPTY_RECORD, 9, &[4, 6]));
+    }
+
+    #[test]
+    fn appends_match_recode_across_every_layout_transition() {
+        // Grow one list from empty past three blocks: v1, the 128 -> 129
+        // re-pack, partial and full last blocks, new blocks.
+        let mut bytes = EMPTY_RECORD.to_vec();
+        let mut out = Vec::new();
+        for d in 0..400u32 {
+            let positions: Vec<u32> = (0..1 + d % 3).map(|j| j * 9 + d % 7).collect();
+            let doc = d * 5 + 1;
+            splice_append(&bytes, DocId(doc), &positions, &mut out).unwrap();
+            assert_eq!(out, recode_append(&bytes, doc, &positions), "append #{d}");
+            std::mem::swap(&mut bytes, &mut out);
+        }
+        assert_eq!(InvertedRecord::decode(&bytes).unwrap().df(), 400);
+        // Out of order, empty or descending positions: refused.
+        assert!(splice_append(&bytes, DocId(3), &[1], &mut out).is_none());
+        assert!(splice_append(&bytes, DocId(10_000), &[], &mut out).is_none());
+        assert!(splice_append(&bytes, DocId(10_000), &[5, 2], &mut out).is_none());
+    }
+
+    #[test]
+    fn removals_match_recode_and_shrink_back_to_v1() {
+        let mut bytes = long_record(300).encode();
+        let mut out = Vec::new();
+        // Remove from the middle, the head and the tail until one remains.
+        let mut docs: Vec<u32> = (0..300).map(|d| d * 7 + 3).collect();
+        while docs.len() > 1 {
+            let i = [docs.len() / 2, 0, docs.len() - 1][docs.len() % 3];
+            let doc = docs.remove(i);
+            let mut r = InvertedRecord::decode(&bytes).unwrap();
+            let removed = r.postings.remove(i);
+            r.cf -= removed.tf as u64;
+            r.max_tf = r.postings.iter().map(|p| p.tf).max().unwrap_or(0);
+            assert_eq!(splice_remove(&bytes, DocId(doc), &mut out), Some(Some(removed.tf)));
+            assert_eq!(out, r.encode(), "remove doc {doc} at df {}", docs.len() + 1);
+            std::mem::swap(&mut bytes, &mut out);
+        }
+        assert_eq!(splice_remove(&bytes, DocId(4), &mut out), Some(None), "absent doc");
+    }
+
+    #[test]
+    fn splices_reject_truncated_records() {
+        for df in [3u32, 128, 129, 300] {
+            let bytes = long_record(df).encode();
+            let mut out = Vec::new();
+            for cut in 0..bytes.len() {
+                let t = &bytes[..cut];
+                assert_eq!(splice_append(t, DocId(u32::MAX), &[1], &mut out), None, "{df} {cut}");
+                assert_eq!(splice_remove(t, DocId(3), &mut out), None, "{df} {cut}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Property tests for the IR engine: codec round-trips, parser robustness,
-//! belief-combination invariants, and ranking determinism.
+//! Property tests for the IR engine: codec round-trips, record splices
+//! against decode-modify-encode, parser robustness, belief-combination
+//! invariants, and ranking determinism.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use poir_inquery::{
-    codec, parse_query, porter, BeliefParams, BlockCache, BlockCursor, DocId, Evaluator,
-    IndexBuilder, InvertedRecord, MemoryStore, Posting, QueryNode, StopWords, BLOCK_SIZE,
+    codec, parse_query, porter, splice_append, splice_remove, BeliefParams, BlockCache,
+    BlockCursor, DocId, Evaluator, IndexBuilder, InvertedRecord, MemoryStore, Posting, QueryNode,
+    StopWords, BLOCK_SIZE,
 };
 
 fn posting_strategy() -> impl Strategy<Value = Vec<Posting>> {
@@ -38,6 +40,173 @@ fn postings_with(
                     .collect()
             })
     })
+}
+
+/// Records for the splice properties: `df` around the 128-posting boundary
+/// and across one to four blocks, doc gaps up to a per-record cap (so doc
+/// widths differ between records), tfs all 1 (zero tf width) or 1..6, and
+/// cf left alone, set to exactly `u32::MAX + 1`, or pushed far above it.
+fn splice_record() -> impl Strategy<Value = InvertedRecord> {
+    let df = prop_oneof![0usize..8, 120usize..136, 250usize..260, 380usize..390];
+    (df, 1u32..10_000_000, any::<bool>(), 0u8..3).prop_flat_map(
+        |(df, max_gap, unit_tf, cf_mode)| {
+            proptest::collection::vec((1..=max_gap, 1u32..6, 0u32..1_000), df).prop_map(
+                move |draws| {
+                    let mut doc = 0u32;
+                    let postings = draws
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(gap, tf, start))| {
+                            doc = if i == 0 { gap - 1 } else { doc + gap };
+                            let tf = if unit_tf { 1 } else { tf };
+                            let positions = (0..tf).map(|j| start + j * 3).collect();
+                            Posting { doc: DocId(doc), tf, positions }
+                        })
+                        .collect();
+                    let mut record = InvertedRecord::from_postings(postings);
+                    if record.df() > 0 {
+                        match cf_mode {
+                            1 => record.cf = u32::MAX as u64 + 1,
+                            2 => record.cf += 5_000_000_000,
+                            _ => {}
+                        }
+                    }
+                    record
+                },
+            )
+        },
+    )
+}
+
+/// The update path before splicing: decode, push one posting, encode.
+fn recode_append(record: &InvertedRecord, doc: u32, positions: &[u32]) -> InvertedRecord {
+    let mut r = record.clone();
+    let tf = positions.len() as u32;
+    r.cf += tf as u64;
+    r.max_tf = r.max_tf.max(tf);
+    r.postings.push(Posting { doc: DocId(doc), tf, positions: positions.to_vec() });
+    r
+}
+
+/// The update path before splicing: decode, remove posting `i`, encode.
+fn recode_remove(record: &InvertedRecord, i: usize) -> InvertedRecord {
+    let mut r = record.clone();
+    let removed = r.postings.remove(i);
+    r.cf = r.cf.saturating_sub(removed.tf as u64);
+    r.max_tf = r.postings.iter().map(|p| p.tf).max().unwrap_or(0);
+    r
+}
+
+/// Splices on a damaged record: never a panic, and corruption the splice
+/// does not read is carried into its output, never laundered into a record
+/// that decodes. When the input still decodes, the output decodes to what
+/// decode-modify would give (max_tf aside on removal, which the splice takes
+/// from the kept blocks' directory entries).
+fn check_damaged(bytes: &[u8], append: u32, remove: DocId) {
+    let decoded = InvertedRecord::decode(bytes);
+    let mut out = Vec::new();
+    if splice_append(bytes, DocId(append), &[1, 4], &mut out).is_some() {
+        let got = InvertedRecord::decode(&out);
+        match &decoded {
+            None => assert_eq!(got, None, "append laundered a corrupt record"),
+            Some(r) => assert_eq!(got, Some(recode_append(r, append, &[1, 4]))),
+        }
+    }
+    if let Some(Some(_)) = splice_remove(bytes, remove, &mut out) {
+        let got = InvertedRecord::decode(&out);
+        match &decoded {
+            None => assert_eq!(got, None, "remove laundered a corrupt record"),
+            Some(r) if r.postings.windows(2).all(|w| w[0].doc < w[1].doc) => {
+                let i = r.postings.iter().position(|p| p.doc == remove).unwrap();
+                let want = recode_remove(r, i);
+                // An empty list whose header cf exceeds 32 bits has no
+                // encoding that decodes, recoded or spliced.
+                if want.df() > 0 || want.cf <= u32::MAX as u64 {
+                    let got = got.expect("a decodable record stays decodable");
+                    assert_eq!((got.cf, got.postings), (want.cf, want.postings));
+                }
+            }
+            Some(_) => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn splice_append_is_byte_identical_to_recode(
+        record in splice_record(),
+        gap in 1u32..20_000_000,
+        tf in 1u32..40,
+        start in 0u32..100_000,
+    ) {
+        // New gaps beyond the record's cap and tfs up to 40 grow the last
+        // block's widths; records at 128 postings cross into blocks; full
+        // last blocks open a new one.
+        let bytes = record.encode();
+        let last = record.postings.last().map_or(0, |p| p.doc.0);
+        let doc = last + gap;
+        let positions: Vec<u32> = (0..tf).map(|j| start + 2 * j).collect();
+        let mut out = Vec::new();
+        prop_assert_eq!(splice_append(&bytes, DocId(doc), &positions, &mut out), Some(()));
+        prop_assert_eq!(&out, &recode_append(&record, doc, &positions).encode());
+        if !record.postings.is_empty() {
+            prop_assert_eq!(splice_append(&bytes, DocId(last), &positions, &mut out), None);
+        }
+    }
+
+    #[test]
+    fn splice_remove_is_byte_identical_to_recode(
+        record in splice_record(),
+        block in 0usize..3,
+        at in 0usize..3,
+    ) {
+        // The first, a middle and the last posting of the first, a middle
+        // and the last block; records at 129 postings fall back to v1;
+        // merged gaps widen a block, a removed top tf narrows it.
+        let bytes = record.encode();
+        let mut out = Vec::new();
+        let df = record.postings.len();
+        if df == 0 {
+            prop_assert_eq!(splice_remove(&bytes, DocId(0), &mut out), Some(None));
+            return;
+        }
+        let blocks = df.div_ceil(BLOCK_SIZE as usize);
+        let first = [0, blocks / 2, blocks - 1][block] * BLOCK_SIZE as usize;
+        let n = (df - first).min(BLOCK_SIZE as usize);
+        let i = first + [0, n / 2, n - 1][at];
+        let p = &record.postings[i];
+        prop_assert_eq!(splice_remove(&bytes, p.doc, &mut out), Some(Some(p.tf)));
+        prop_assert_eq!(&out, &recode_remove(&record, i).encode());
+        // A document the list does not hold leaves it alone.
+        let missing = DocId(record.postings[df - 1].doc.0 + 1);
+        prop_assert_eq!(splice_remove(&bytes, missing, &mut out), Some(None));
+    }
+
+    #[test]
+    fn splices_refuse_damaged_records_without_panicking(
+        record in splice_record(),
+        cut in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+        garbage in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let bytes = record.encode();
+        let next = record.postings.last().map_or(0, |p| p.doc.0 + 1);
+        let victim = record.postings.first().map_or(DocId(0), |p| p.doc);
+        // Every strict prefix is refused.
+        let truncated = &bytes[..cut % bytes.len()];
+        let mut out = Vec::new();
+        prop_assert_eq!(splice_append(truncated, DocId(next), &[1], &mut out), None);
+        prop_assert_eq!(splice_remove(truncated, victim, &mut out), None);
+        let mut mutated = bytes.clone();
+        for (at, x) in flips {
+            let len = mutated.len();
+            mutated[at % len] ^= x;
+        }
+        check_damaged(&mutated, next, victim);
+        check_damaged(&garbage, next, victim);
+    }
 }
 
 proptest! {
