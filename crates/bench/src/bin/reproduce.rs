@@ -14,10 +14,10 @@
 //! `--metrics-json PATH` enables telemetry on every engine, cross-checks
 //! the telemetry-derived Table 5 statistics against the device's `IoStats`
 //! deltas (they must match exactly), and writes every query set's
-//! `MetricsReport` — counters, per-pool buffer events, phase latency
-//! histograms, per-query traces — to `PATH` as JSON. On divergence it
-//! prints the full per-counter diff (every mirrored telemetry/IoStats
-//! pair, matching and not) before aborting.
+//! `MetricsReport` — counters, per-pool buffer events, phase totals,
+//! per-query traces — to `PATH` as JSON. On divergence it prints the
+//! full per-counter diff (every mirrored telemetry/IoStats pair, matching
+//! and not) before aborting.
 //!
 //! `--trace-out PATH` runs an extra traced pass — the TIPSTER throughput
 //! workload at the same `--scale`, serial then parallel on 2 threads, on a

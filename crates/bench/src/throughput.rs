@@ -140,9 +140,10 @@ fn ranking_key(rankings: &[Vec<RankedResult>]) -> Vec<Vec<(u32, u64)>> {
 const DECODE_PASSES: usize = 3;
 
 /// Measures [`DecodeThroughput`]: extra `daat_pruned` passes on fresh
-/// engines with counters-only telemetry (one relaxed atomic add per
-/// event). These passes never feed the QPS figures, so their small
-/// instrumentation cost is shared by baseline and fresh runs alike.
+/// engines with [`TelemetryOptions::full`] telemetry (one relaxed atomic
+/// add per event, one kept trace per query). These passes never feed the
+/// QPS figures, so their small instrumentation cost is shared by baseline
+/// and fresh runs alike.
 ///
 /// Unlike the QPS families, this pass is a single short run, so one
 /// scheduler hiccup can swing the figure by >10% — enough to trip the
@@ -153,10 +154,10 @@ const DECODE_PASSES: usize = 3;
 fn measure_decode(workload: &Workload, queries: &[&str]) -> DecodeThroughput {
     let mut best: Option<DecodeThroughput> = None;
     for _ in 0..DECODE_PASSES {
-        let mut engine = fresh_engine(&workload.index, TelemetryOptions::counters_only());
+        let mut engine = fresh_engine(&workload.index, TelemetryOptions::full());
         let (report, _) =
             engine.run_query_set_mode(queries, TOP_K, ExecMode::DaatPruned).expect("decode pass");
-        let metrics = report.metrics.expect("counters-only run reports metrics");
+        let metrics = report.metrics.expect("telemetry-on run reports metrics");
         let engine_secs = report.engine_time.as_secs_f64();
         let postings_decoded = metrics.delta.get(Event::PostingsDecoded);
         let pass = DecodeThroughput {

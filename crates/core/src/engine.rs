@@ -26,7 +26,7 @@ use poir_inquery::{
 };
 use poir_mneme::BufferStats;
 use poir_storage::{Device, FileHandle, IoSnapshot, SimTime};
-use poir_telemetry::{LatencyBreakdown, MetricsReport, QueryTrace, Recorder, Tracer};
+use poir_telemetry::{LatencyBreakdown, MetricsReport, Phase, QueryTrace, Recorder, Tracer};
 
 use crate::btree_store::BTreeInvertedFile;
 use crate::buffer_sizing::{paper_heuristic, BufferSizes};
@@ -400,7 +400,6 @@ pub struct Engine {
     reserve_enabled: bool,
     exec_mode: ExecMode,
     recorder: Recorder,
-    trace_queries: bool,
 }
 
 impl std::fmt::Debug for Engine {
@@ -503,7 +502,6 @@ impl Engine {
             reserve_enabled: true,
             exec_mode: b.exec_mode,
             recorder,
-            trace_queries: b.telemetry.trace_queries,
         })
     }
 
@@ -749,7 +747,7 @@ impl Engine {
                                     let req = QueryRequest::new(queries[qi].as_ref(), k);
                                     let ev =
                                         pipeline::evaluate(&mut views, &req, qi as u32, driver);
-                                    Ok((qi, ev.scored?))
+                                    Ok((qi, ev.trace.phase_micros, ev.scored?))
                                 })
                                 .collect()
                         })
@@ -757,14 +755,18 @@ impl Engine {
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("query thread panicked")).collect()
             });
-            // Per-query traces need serial phase attribution; a parallel
-            // run reports set-level counters only.
-            Ok((per_thread, Vec::new()))
+            let mut phases = [0; Phase::COUNT];
+            for (_, micros, _) in per_thread.iter().flatten().flatten() {
+                add_phases(&mut phases, micros);
+            }
+            // Per-query event deltas need a serial loop; a parallel run
+            // reports set-level counters and phase totals only.
+            Ok((per_thread, Vec::new(), phases))
         };
         let (report, per_thread) = measure_set(std::slice::from_mut(self), queries.len(), run)?;
         let mut rankings = vec![Vec::new(); queries.len()];
         for thread in per_thread {
-            for (qi, scored) in thread? {
+            for (qi, _, scored) in thread? {
                 rankings[qi] = pipeline::name_hits(&self.docs, scored);
             }
         }
@@ -1072,14 +1074,22 @@ pub(crate) fn execute_on(engines: &mut [Engine], req: &QueryRequest) -> Result<Q
     pipeline::respond(ev, views[0].docs, 0, driver.origin)
 }
 
+/// Adds one evaluation's phase table into a set's running totals.
+fn add_phases(total: &mut [u64; Phase::COUNT], micros: &[u64; Phase::COUNT]) {
+    for (t, m) in total.iter_mut().zip(micros) {
+        *t += m;
+    }
+}
+
 /// The paper's measurement procedure (Section 4.2) around one batch run —
 /// the one wrapper behind all three batch runners: chill the OS cache,
 /// snapshot every counter, time `run`, report the deltas (how they
 /// aggregate across shards: [`crate::ShardedEngine::run_query_set`]).
+/// `run` returns its per-query traces and its summed phase table.
 fn measure_set<R>(
     engines: &mut [Engine],
     queries: usize,
-    run: impl FnOnce(&mut [Engine]) -> Result<(R, Vec<QueryTrace>)>,
+    run: impl FnOnce(&mut [Engine]) -> Result<(R, Vec<QueryTrace>, [u64; Phase::COUNT])>,
 ) -> Result<(QuerySetReport, R)> {
     let lookups =
         |engines: &[Engine]| -> u64 { engines.iter().map(|e| e.store.record_lookups()).sum() };
@@ -1093,7 +1103,7 @@ fn measure_set<R>(
     let io_before = device.stats().snapshot();
     let tel_before = recorder.snapshot();
     let start = Instant::now();
-    let (out, traces) = run(engines)?;
+    let (out, traces, phase_micros) = run(engines)?;
     let engine_time = start.elapsed();
     let io = device.stats().snapshot().since(&io_before);
     // Saturating: a caller resetting store counters between runs must read
@@ -1103,17 +1113,17 @@ fn measure_set<R>(
         [engine] => engine.store.buffer_stats()?,
         _ => None,
     };
-    // The telemetry-derived report: raw counter deltas, per-query traces,
-    // and the cost-model time recomputed purely from telemetry (equal to
-    // the `IoStats` charge because the device records both at the same
-    // call sites).
-    let metrics = recorder.is_enabled().then(|| {
-        let delta = recorder.snapshot().since(&tel_before);
-        let sim_io_micros = device.cost_model().charge_telemetry(&delta).as_micros();
-        let engine_micros = engine_time.as_micros() as u64;
-        MetricsReport { queries, delta, traces, engine_micros, sim_io_micros }
-    });
     let sys_io_time = device.cost_model().charge(&io);
+    // The telemetry report: raw counter deltas, the phase totals and
+    // per-query traces, and the set's cost-model charge.
+    let metrics = recorder.is_enabled().then(|| MetricsReport {
+        queries,
+        delta: recorder.snapshot().since(&tel_before),
+        phase_micros,
+        traces,
+        engine_micros: engine_time.as_micros() as u64,
+        sim_io_micros: sys_io_time.as_micros(),
+    });
     let report = QuerySetReport {
         queries,
         engine_time,
@@ -1141,20 +1151,21 @@ pub(crate) fn run_set_on<S: AsRef<str>>(
         // With telemetry off the pipeline takes no timestamps, so the
         // measured path stays free of observation overhead.
         let timed = engines[0].recorder.is_enabled();
-        let keep_traces = timed && engines[0].trace_queries;
         let (mut views, driver) = drive(engines, timed);
         let mut traces = Vec::new();
+        let mut phases = [0; Phase::COUNT];
         let mut rankings = Vec::with_capacity(queries.len());
         for (qi, q) in queries.iter().enumerate() {
             let req =
                 QueryRequest { text: q.as_ref().to_string(), k, mode, deadline: None, id: None };
             let ev = pipeline::evaluate(&mut views, &req, qi as u32, &driver);
             rankings.push(ev.scored?);
-            if keep_traces {
+            if timed {
+                add_phases(&mut phases, &ev.trace.phase_micros);
                 traces.push(ev.trace);
             }
         }
-        Ok((rankings, traces))
+        Ok((rankings, traces, phases))
     })?;
     let docs = &engines[0].docs;
     Ok((report, rankings.into_iter().map(|r| pipeline::name_hits(docs, r)).collect()))

@@ -6,9 +6,10 @@
 //! [`QueryService`](crate::QueryService) workers, the batch runners —
 //! hands [`evaluate`] a slice of [`ShardView`]s plus the [`Driver`] values
 //! it already holds; [`respond`] turns the [`Evaluation`] into a
-//! [`QueryResponse`]. Counters and trace slices go straight to the
-//! driver's [`Recorder`] (disabled = one branch), once, whichever driver
-//! runs. DESIGN.md §19 has the stages and the driver values in full.
+//! [`QueryResponse`]. Phase times land in the evaluation's own
+//! [`QueryTrace`]; counters and trace slices go straight to the driver's
+//! [`Recorder`] (disabled = one branch), once, whichever driver runs.
+//! DESIGN.md §19 has the stages and the driver values in full.
 //!
 //! # The deadline, retry and degrade rule
 //!
@@ -153,9 +154,6 @@ pub(crate) fn evaluate(
     };
     ev.scored = run(shards, req, d, &mut ev);
     if d.timed {
-        for phase in Phase::ALL {
-            d.recorder.record_phase(phase, ev.trace.phase_micros[phase as usize]);
-        }
         d.recorder.trace_end(span, TraceOp::Query, qid as u64, None, 0);
     }
     if let Some(before) = before {
@@ -277,7 +275,6 @@ fn run(
             match attempt {
                 Err(e) if retries < d.retry.max_retries && e.is_transient_fault() => {
                     retries += 1;
-                    d.recorder.incr(Event::ShardRetry);
                     std::thread::sleep(d.retry.backoff * retries);
                 }
                 done => break done,
@@ -295,9 +292,6 @@ fn run(
     if per_shard.is_empty() {
         // Every shard failed: no partial answer to degrade to.
         return Err(last_err.unwrap_or(CoreError::Unsupported("evaluation over zero shards")));
-    }
-    if last_err.is_some() {
-        d.recorder.incr(Event::DegradedResponse);
     }
     let t = clock.start();
     let merged = daat::merge_topk(per_shard, k);
@@ -393,8 +387,6 @@ fn record_daat_stats(recorder: &Recorder, stats: &DaatStats) {
     recorder.add(Event::BlocksSkipped, stats.blocks_skipped);
     recorder.add(Event::BytesDecoded, stats.bytes_decoded);
     recorder.add(Event::BlocksBitpacked, stats.blocks_bitpacked);
-    recorder.add(Event::BlockCacheHit, stats.block_cache_hits);
-    recorder.add(Event::BlockCacheMiss, stats.block_cache_misses);
     let slice = |op, object, bytes| recorder.trace(op, object, None, bytes, Duration::ZERO);
     if stats.bytes_decoded > 0 {
         // object = bit-packed blocks decoded, bytes = payload bytes decoded.

@@ -23,9 +23,9 @@
 //!   [`shared_view`](crate::MnemeInvertedFile::shared_view); Mneme
 //!   backends only, like the parallel batch path.
 //!
-//! Every admission decision is recorded on the shared telemetry
-//! recorder (`queue_enqueued` / `queue_rejected` / `queue_expired`), and
-//! a tracing recorder gets one `queue_wait` slice per dequeued request.
+//! Every admission decision is counted once, by the service's registry
+//! (`admitted` / `rejected` / `expired`), and a tracing recorder gets one
+//! `queue_wait` slice per dequeued request.
 //!
 //! On top of the counters sits the serving observatory (PR 8): a
 //! [`MetricsRegistry`] of windowed counters/gauges/histograms (queue
@@ -41,7 +41,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 use poir_inquery::{BlockCacheStats, InvertedFileStore};
 use poir_telemetry::trace::tag_query;
 use poir_telemetry::{
-    Attribution, BreakdownRing, Counter, Event, FlightRecorder, Gauge, Histogram, LatencyBreakdown,
+    Attribution, BreakdownRing, Counter, FlightRecorder, Gauge, Histogram, LatencyBreakdown,
     LatencySummary, MetricsRegistry, Recorder, RegistrySnapshot, SlowQueryRecord, SlowShard,
     TraceOp, WindowRates,
 };
@@ -216,8 +216,6 @@ struct ServiceShared {
     shards: Vec<ShardRuntime>,
     recorder: Recorder,
     capacity: usize,
-    /// Requests admitted but not yet dequeued.
-    depth: AtomicUsize,
     /// Per-shard failure accounting, index-aligned with `shards`.
     health: Vec<ShardHealthState>,
     /// Tier-3 query-result cache (None when disabled by configuration).
@@ -302,7 +300,6 @@ impl QueryService {
             shards,
             recorder,
             capacity,
-            depth: AtomicUsize::new(0),
             health,
             result_cache,
             metrics,
@@ -377,10 +374,13 @@ impl QueryService {
 
     /// Requests currently admitted but not yet picked up by a worker.
     pub fn queue_depth(&self) -> usize {
-        self.shared.depth.load(Ordering::Relaxed)
+        // A worker may dequeue before the submitter's increment lands, so
+        // the gauge can dip below zero for an instant.
+        self.shared.metrics.queue_depth.value().max(0) as usize
     }
 
-    /// The shared telemetry recorder (queue counters land here).
+    /// The shared telemetry recorder (per-query I/O and decode counters
+    /// land here; service outcomes are counted by [`QueryService::stats`]).
     pub fn recorder(&self) -> &Recorder {
         &self.shared.recorder
     }
@@ -441,14 +441,11 @@ impl QueryService {
         let job = Job { request, submitted: Instant::now(), seq, reply };
         match tx.try_send(job) {
             Ok(()) => {
-                self.shared.depth.fetch_add(1, Ordering::Relaxed);
-                self.shared.recorder.incr(Event::QueueEnqueued);
                 self.shared.metrics.queue_depth.inc();
                 self.shared.metrics.admitted.inc();
                 Ok(PendingQuery { seq, rx })
             }
             Err(TrySendError::Full(_)) => {
-                self.shared.recorder.incr(Event::QueueRejected);
                 self.shared.metrics.rejected.inc();
                 Err(CoreError::Overloaded { capacity: self.shared.capacity })
             }
@@ -496,7 +493,6 @@ impl QueryService {
                     Err(_) => return,
                 }
             };
-            shared.depth.fetch_sub(1, Ordering::Relaxed);
             shared.metrics.queue_depth.dec();
             // The stable query id joins trace records, the latency
             // breakdown, and the slow-query log; the service sequence
@@ -511,7 +507,6 @@ impl QueryService {
             // its worker time would be pure waste under overload.
             if let Some(budget) = job.request.deadline {
                 if queue_wait > budget {
-                    shared.recorder.incr(Event::QueueExpired);
                     shared.metrics.expired.inc();
                     let _ = job.reply.send(Err(CoreError::DeadlineExceeded {
                         budget,
@@ -556,13 +551,11 @@ impl QueryService {
                     shared.metrics.completed.inc();
                     shared.metrics.request.record(resp.breakdown.total_micros());
                     shared.metrics.breakdowns.push(resp.breakdown);
-                    shared.recorder.incr(Event::ResultCacheHit);
                     shared.recorder.trace(TraceOp::ResultCache, 1, None, 0, Duration::ZERO);
                     let _ = job.reply.send(Ok(resp));
                     continue;
                 }
                 shared.metrics.result_cache_misses.inc();
-                shared.recorder.incr(Event::ResultCacheMiss);
                 shared.recorder.trace(TraceOp::ResultCache, 0, None, 1, Duration::ZERO);
             }
             shared.metrics.in_flight.inc();

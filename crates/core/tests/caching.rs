@@ -78,6 +78,12 @@ fn service_result_cache_hit_skips_shard_evaluation() {
     }
     let cache = after_second.result_cache.expect("cache configured");
     assert_eq!((cache.hits, cache.misses), (1, 1));
+    // The registry counts the same two outcomes, once each.
+    let counter = |name: &str| match after_second.registry.get(name) {
+        Some(MetricValue::Counter { total, .. }) => *total,
+        other => panic!("{name} missing or not a counter: {other:?}"),
+    };
+    assert_eq!((counter("result_cache_hits"), counter("result_cache_misses")), (1, 1));
     assert!(cache.hit_rate() > 0.0);
     assert_eq!(after_second.completed, 2, "hits still count as completions");
     service.shutdown();

@@ -18,8 +18,6 @@
 //! the reported times — the comparisons in Tables 3-5 depend on the event
 //! *counts*, which are exact.
 
-use poir_telemetry::{Event, TelemetrySnapshot};
-
 use crate::stats::IoSnapshot;
 
 /// Simulated time, accumulated in microseconds.
@@ -113,21 +111,6 @@ impl CostModel {
             + (delta.file_accesses + delta.file_writes) * self.syscall_us
             + ((delta.bytes_read + delta.bytes_written) / 1024) * self.copy_us_per_kb;
         SimTime::from_micros(micros)
-    }
-
-    /// Same charge computed from a telemetry counter delta instead of
-    /// `IoStats`. Because the device records both at the same call sites,
-    /// `charge_telemetry(&t)` equals `charge(&io)` for deltas taken over
-    /// the same interval.
-    pub fn charge_telemetry(&self, delta: &TelemetrySnapshot) -> SimTime {
-        self.charge(&IoSnapshot {
-            io_inputs: delta.get(Event::IoInput),
-            io_outputs: delta.get(Event::IoOutput),
-            file_accesses: delta.get(Event::FileAccess),
-            file_writes: delta.get(Event::FileWrite),
-            bytes_read: delta.get(Event::BytesRead),
-            bytes_written: delta.get(Event::BytesWritten),
-        })
     }
 }
 

@@ -72,9 +72,8 @@ struct DeviceInner {
 }
 
 impl DeviceInner {
-    /// Emits the fault-injection telemetry for one fired fault.
+    /// Emits the trace slice for one fired fault ([`FaultStats`] counts it).
     fn note_fault(&mut self, file: FileId, bytes: u64) {
-        self.recorder.incr(Event::FaultInjected);
         self.recorder.trace(
             TraceOp::FaultInjected,
             file.0 as u64,

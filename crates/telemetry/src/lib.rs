@@ -4,20 +4,26 @@
 //! device records file accesses, transfer-block inputs, and OS-cache
 //! hits/misses; the Mneme buffer manager records per-pool buffer
 //! references, evictions, and reservations; the B-tree records node
-//! descents and node-cache traffic; and the engine records per-phase
-//! query latencies. A disabled recorder (the default) is a `None` inside
-//! a clonable handle — every record call is a single branch, so code can
-//! be instrumented unconditionally without measurable cost.
+//! descents and node-cache traffic; and the evaluation pipeline records
+//! dictionary lookups and decode work. A disabled recorder (the default)
+//! is a `None` inside a clonable handle — every record call is a single
+//! branch, so code can be instrumented unconditionally without
+//! measurable cost.
 //!
-//! Counters are grouped three ways:
+//! Each counted event has one owner. The recorder owns what the storage
+//! and evaluation layers do per query:
 //!
 //! * [`Event`] — global monotonic counters. The I/O events mirror the
 //!   storage crate's `IoStats` exactly (they are recorded at the same
 //!   call sites), which is what lets [`MetricsReport`] reproduce the
 //!   paper's Table 5 I/A/B statistics purely from telemetry.
 //! * [`PoolEvent`] — per-buffer-pool counters, indexed by pool id.
-//! * [`Phase`] — fixed-bucket (power-of-two microseconds) latency
-//!   histograms for the query pipeline phases.
+//!
+//! Service admission, retries, degraded responses and result-cache
+//! outcomes are counted once, by the service's [`MetricsRegistry`];
+//! decoded-block cache and fault-injection outcomes by their own stats
+//! types. Query [`Phase`] times live in each [`QueryTrace`]'s phase
+//! table, and a set's [`MetricsReport`] sums them.
 //!
 //! Snapshots ([`TelemetrySnapshot`]) are plain value types with a
 //! saturating [`TelemetrySnapshot::since`], mirroring `IoSnapshot`.
@@ -89,31 +95,11 @@ pub enum Event {
     BytesDecoded,
     /// Posting blocks decoded from the v2 bit-packed representation.
     BlocksBitpacked,
-    /// Requests admitted into the query service's bounded queue.
-    QueueEnqueued,
-    /// Requests rejected at admission because the queue was full.
-    QueueRejected,
-    /// Requests whose deadline had already expired when dequeued.
-    QueueExpired,
-    /// Storage faults fired by an installed fault plan.
-    FaultInjected,
-    /// Shard evaluations retried after a transient storage fault.
-    ShardRetry,
-    /// Responses served degraded (one or more shards missing).
-    DegradedResponse,
-    /// Posting blocks served from the decoded-block cache (no unpack).
-    BlockCacheHit,
-    /// Decoded-block cache consultations that had to decode.
-    BlockCacheMiss,
-    /// Queries answered from the result cache (no shard evaluation).
-    ResultCacheHit,
-    /// Result-cache consultations that had to evaluate.
-    ResultCacheMiss,
 }
 
 impl Event {
     /// Number of event kinds (array dimension).
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 21;
 
     /// All events, in declaration order.
     pub const ALL: [Event; Event::COUNT] = [
@@ -138,16 +124,6 @@ impl Event {
         Event::RangeRead,
         Event::BytesDecoded,
         Event::BlocksBitpacked,
-        Event::QueueEnqueued,
-        Event::QueueRejected,
-        Event::QueueExpired,
-        Event::FaultInjected,
-        Event::ShardRetry,
-        Event::DegradedResponse,
-        Event::BlockCacheHit,
-        Event::BlockCacheMiss,
-        Event::ResultCacheHit,
-        Event::ResultCacheMiss,
     ];
 
     /// Stable snake_case name used in JSON export.
@@ -174,16 +150,6 @@ impl Event {
             Event::RangeRead => "range_reads",
             Event::BytesDecoded => "bytes_decoded",
             Event::BlocksBitpacked => "blocks_bitpacked",
-            Event::QueueEnqueued => "queue_enqueued",
-            Event::QueueRejected => "queue_rejected",
-            Event::QueueExpired => "queue_expired",
-            Event::FaultInjected => "faults_injected",
-            Event::ShardRetry => "shard_retries",
-            Event::DegradedResponse => "degraded_responses",
-            Event::BlockCacheHit => "block_cache_hits",
-            Event::BlockCacheMiss => "block_cache_misses",
-            Event::ResultCacheHit => "result_cache_hits",
-            Event::ResultCacheMiss => "result_cache_misses",
         }
     }
 }
@@ -233,7 +199,8 @@ impl PoolEvent {
 /// extra ids are clamped into the last slot rather than dropped.
 pub const MAX_POOLS: usize = 4;
 
-/// Query pipeline phases timed by the engine.
+/// Query pipeline phases timed by the engine ([`QueryTrace::phase_micros`]
+/// is indexed by them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
@@ -269,8 +236,8 @@ impl Phase {
     }
 }
 
-/// Histogram buckets: bucket `i` holds durations in `[2^(i-1), 2^i)`
-/// microseconds (bucket 0 is `< 1us`); the last bucket is unbounded.
+/// Histogram buckets: bucket `i` holds whole-microsecond durations in
+/// `[2^(i-1), 2^i - 1]` (bucket 0 holds 0); the last bucket is unbounded.
 pub const HISTOGRAM_BUCKETS: usize = 22;
 
 pub(crate) fn bucket_for(micros: u64) -> usize {
@@ -305,7 +272,7 @@ impl AtomicHistogram {
     }
 }
 
-/// Point-in-time copy of one phase's latency histogram.
+/// Point-in-time copy of one latency histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Power-of-two microsecond buckets; see [`HISTOGRAM_BUCKETS`].
@@ -317,19 +284,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Saturating element-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (i, out) in buckets.iter_mut().enumerate() {
-            *out = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum_micros: self.sum_micros.saturating_sub(earlier.sum_micros),
-        }
-    }
-
     /// Mean observed duration in microseconds (0 when empty).
     pub fn mean_micros(&self) -> f64 {
         if self.count == 0 {
@@ -365,22 +319,11 @@ impl HistogramSnapshot {
 // working).
 static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
+#[derive(Default)]
 struct Inner {
     epoch: u64,
     events: [AtomicU64; Event::COUNT],
     pools: [[AtomicU64; PoolEvent::COUNT]; MAX_POOLS],
-    phases: [AtomicHistogram; Phase::COUNT],
-}
-
-impl Default for Inner {
-    fn default() -> Self {
-        Inner {
-            epoch: 0,
-            events: std::array::from_fn(|_| AtomicU64::new(0)),
-            pools: Default::default(),
-            phases: Default::default(),
-        }
-    }
 }
 
 /// Cheap-to-clone telemetry handle. Disabled by default; every record
@@ -427,7 +370,7 @@ impl Recorder {
     /// This recorder's epoch id: a process-unique nonzero value for an
     /// enabled recorder, 0 for a disabled one. Snapshots carry it so a
     /// diff against a snapshot of a *different* recorder is detectable
-    /// (see [`TelemetrySnapshot::since_checked`]).
+    /// (see [`TelemetrySnapshot::epoch_compatible`]).
     pub fn epoch(&self) -> u64 {
         self.inner.as_ref().map_or(0, |inner| inner.epoch)
     }
@@ -517,20 +460,6 @@ impl Recorder {
         self.pool_add(pool, event, 1);
     }
 
-    /// Records one phase observation of `micros` microseconds.
-    #[inline]
-    pub fn record_phase(&self, phase: Phase, micros: u64) {
-        if let Some(inner) = &self.inner {
-            inner.phases[phase as usize].record(micros);
-        }
-    }
-
-    /// Starts a span that records its elapsed time into `phase` when
-    /// dropped (a no-op on a disabled recorder).
-    pub fn span(&self, phase: Phase) -> PhaseSpan {
-        PhaseSpan { recorder: self.clone(), phase, start: Instant::now() }
-    }
-
     /// Point-in-time copy of every counter (all zeros when disabled).
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot::default();
@@ -544,29 +473,13 @@ impl Recorder {
                     *out = c.load(Ordering::Relaxed);
                 }
             }
-            for (out, h) in snap.phases.iter_mut().zip(&inner.phases) {
-                *out = h.snapshot();
-            }
         }
         snap
     }
 }
 
-/// Guard returned by [`Recorder::span`]; records elapsed microseconds on drop.
-pub struct PhaseSpan {
-    recorder: Recorder,
-    phase: Phase,
-    start: Instant,
-}
-
-impl Drop for PhaseSpan {
-    fn drop(&mut self) {
-        self.recorder.record_phase(self.phase, self.start.elapsed().as_micros() as u64);
-    }
-}
-
 /// Point-in-time copy of every recorder counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
     /// Epoch of the recorder the snapshot was taken from (0 = disabled
     /// recorder or a hand-built baseline; compatible with everything).
@@ -575,42 +488,7 @@ pub struct TelemetrySnapshot {
     pub events: [u64; Event::COUNT],
     /// Per-pool counters, indexed by pool id then [`PoolEvent`].
     pub pools: [[u64; PoolEvent::COUNT]; MAX_POOLS],
-    /// Phase latency histograms, indexed by [`Phase`].
-    pub phases: [HistogramSnapshot; Phase::COUNT],
 }
-
-impl Default for TelemetrySnapshot {
-    fn default() -> Self {
-        TelemetrySnapshot {
-            epoch: 0,
-            events: [0; Event::COUNT],
-            pools: [[0; PoolEvent::COUNT]; MAX_POOLS],
-            phases: [HistogramSnapshot::default(); Phase::COUNT],
-        }
-    }
-}
-
-/// Two snapshots being diffed came from different recorders, so the
-/// counter delta would be meaningless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochMismatch {
-    /// Epoch of the later snapshot (`self` in a `since` call).
-    pub expected: u64,
-    /// Epoch of the earlier snapshot the delta was requested against.
-    pub actual: u64,
-}
-
-impl std::fmt::Display for EpochMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "telemetry snapshots come from different recorders (epoch {} vs {})",
-            self.expected, self.actual
-        )
-    }
-}
-
-impl std::error::Error for EpochMismatch {}
 
 impl TelemetrySnapshot {
     /// Value of one global counter.
@@ -621,11 +499,6 @@ impl TelemetrySnapshot {
     /// Value of one per-pool counter.
     pub fn pool(&self, pool: usize, event: PoolEvent) -> u64 {
         self.pools[pool.min(MAX_POOLS - 1)][event as usize]
-    }
-
-    /// Histogram for one phase.
-    pub fn phase(&self, phase: Phase) -> &HistogramSnapshot {
-        &self.phases[phase as usize]
     }
 
     /// Whether a delta between the two snapshots is meaningful: same
@@ -639,9 +512,7 @@ impl TelemetrySnapshot {
     /// `IoSnapshot::since`).
     ///
     /// Debug builds assert the snapshots come from the same recorder;
-    /// release builds saturate silently (use
-    /// [`TelemetrySnapshot::since_checked`] to handle the mismatch as a
-    /// typed error instead).
+    /// release builds saturate silently.
     pub fn since(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
         debug_assert!(
             self.epoch_compatible(earlier),
@@ -661,68 +532,40 @@ impl TelemetrySnapshot {
                 *v = self.pools[p][i].saturating_sub(earlier.pools[p][i]);
             }
         }
-        for (i, v) in out.phases.iter_mut().enumerate() {
-            *v = self.phases[i].since(&earlier.phases[i]);
-        }
         out
-    }
-
-    /// [`TelemetrySnapshot::since`], but an epoch mismatch is a typed
-    /// error instead of a saturated (garbage) delta.
-    pub fn since_checked(
-        &self,
-        earlier: &TelemetrySnapshot,
-    ) -> Result<TelemetrySnapshot, EpochMismatch> {
-        if !self.epoch_compatible(earlier) {
-            return Err(EpochMismatch { expected: self.epoch, actual: earlier.epoch });
-        }
-        Ok(self.since(earlier))
     }
 }
 
 /// Typed telemetry switches for engine construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryOptions {
-    /// Master switch: record counters and histograms at all.
+    /// Master switch: record counters and per-query traces at all.
     pub enabled: bool,
-    /// Also build a [`QueryTrace`] per query (requires `enabled`).
-    pub trace_queries: bool,
     /// Structured trace ring-buffer capacity in records; 0 (the default)
     /// disables the trace log. Requires `enabled`.
     pub trace_capacity: usize,
 }
 
-impl Default for TelemetryOptions {
-    fn default() -> Self {
-        TelemetryOptions { enabled: false, trace_queries: true, trace_capacity: 0 }
-    }
-}
-
 impl TelemetryOptions {
     /// Telemetry off (the default; zero overhead).
     pub fn off() -> TelemetryOptions {
-        TelemetryOptions { enabled: false, trace_queries: false, trace_capacity: 0 }
+        TelemetryOptions { enabled: false, trace_capacity: 0 }
     }
 
-    /// Counters, histograms, and per-query traces all on.
+    /// Counters and per-query traces on.
     pub fn full() -> TelemetryOptions {
-        TelemetryOptions { enabled: true, trace_queries: true, trace_capacity: 0 }
-    }
-
-    /// Counters and histograms only; no per-query traces.
-    pub fn counters_only() -> TelemetryOptions {
-        TelemetryOptions { enabled: true, trace_queries: false, trace_capacity: 0 }
+        TelemetryOptions { enabled: true, trace_capacity: 0 }
     }
 
     /// Everything [`TelemetryOptions::full`] records, plus a structured
     /// trace log holding up to `capacity` [`TraceRecord`]s.
     pub fn tracing(capacity: usize) -> TelemetryOptions {
-        TelemetryOptions { enabled: true, trace_queries: true, trace_capacity: capacity }
+        TelemetryOptions { enabled: true, trace_capacity: capacity }
     }
 }
 
 /// Telemetry captured for a single query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryTrace {
     /// Index of the query within its set.
     pub query: usize,
@@ -732,17 +575,6 @@ pub struct QueryTrace {
     pub phase_micros: [u64; Phase::COUNT],
     /// Counter deltas attributable to this query, indexed by [`Event`].
     pub events: [u64; Event::COUNT],
-}
-
-impl Default for QueryTrace {
-    fn default() -> Self {
-        QueryTrace {
-            query: 0,
-            results: 0,
-            phase_micros: [0; Phase::COUNT],
-            events: [0; Event::COUNT],
-        }
-    }
 }
 
 impl QueryTrace {
@@ -785,21 +617,25 @@ impl QueryTrace {
 }
 
 /// Aggregated telemetry for a whole query set: the counter delta over
-/// the run, per-query traces, and enough derived accessors to rebuild
-/// the paper's Table 5 row (I, A, B) without consulting `IoStats`.
+/// the run, the summed phase table, per-query traces, and enough derived
+/// accessors to rebuild the paper's Table 5 row (I, A, B) without
+/// consulting `IoStats`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
     /// Queries executed.
     pub queries: usize,
-    /// Counter/histogram deltas over the query set.
+    /// Counter deltas over the query set.
     pub delta: TelemetrySnapshot,
-    /// Per-query traces (empty unless `trace_queries` was on, or for
-    /// parallel runs where per-query attribution is not meaningful).
+    /// Each query's [`QueryTrace::phase_micros`] summed over the set,
+    /// indexed by [`Phase`]. Every query times every phase once, so each
+    /// phase's observation count is `queries`.
+    pub phase_micros: [u64; Phase::COUNT],
+    /// Per-query traces (empty for parallel runs, where per-query
+    /// attribution is not meaningful).
     pub traces: Vec<QueryTrace>,
     /// Engine (CPU) time for the set, microseconds.
     pub engine_micros: u64,
-    /// Cost-model charge for the set's I/O, microseconds. Derived from
-    /// the telemetry counters (not from `IoStats`) by the engine.
+    /// Cost-model charge for the set's I/O, microseconds.
     pub sim_io_micros: u64,
 }
 
@@ -893,13 +729,12 @@ impl MetricsReport {
             if i > 0 {
                 s.push_str(", ");
             }
-            let h = &self.delta.phases[i];
+            let sum = self.phase_micros[i];
+            let mean = if self.queries == 0 { 0.0 } else { sum as f64 / self.queries as f64 };
             s.push_str(&format!(
-                "\"{}\": {{\"count\": {}, \"sum_micros\": {}, \"mean_micros\": {:.1}}}",
+                "\"{}\": {{\"count\": {}, \"sum_micros\": {sum}, \"mean_micros\": {mean:.1}}}",
                 phase.name(),
-                h.count,
-                h.sum_micros,
-                h.mean_micros()
+                self.queries
             ));
         }
         s.push_str("},\n  \"traces\": [");
@@ -924,7 +759,6 @@ mod tests {
         assert!(!r.is_enabled());
         r.incr(Event::FileAccess);
         r.pool_incr(0, PoolEvent::Hit);
-        r.record_phase(Phase::Parse, 10);
         assert_eq!(r.snapshot(), TelemetrySnapshot::default());
     }
 
@@ -958,24 +792,46 @@ mod tests {
         assert_eq!(bucket_for(2), 2);
         assert_eq!(bucket_for(3), 2);
         assert_eq!(bucket_for(4), 3);
+        assert_eq!(bucket_for(7), 3);
+        assert_eq!(bucket_for(8), 4);
         assert_eq!(bucket_for(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        let r = Recorder::enabled();
-        r.record_phase(Phase::Evaluate, 5);
-        r.record_phase(Phase::Evaluate, 7);
-        let h = *r.snapshot().phase(Phase::Evaluate);
+        let h = AtomicHistogram::default();
+        h.record(5);
+        h.record(7);
+        let h = h.snapshot();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum_micros, 12);
-        assert_eq!(h.buckets[3], 2); // [4, 8)
+        assert_eq!(h.buckets[3], 2); // [4, 7]
         assert!((h.mean_micros() - 6.0).abs() < 1e-9);
     }
 
+    /// `Event`, `PoolEvent` and `Phase` are hand-kept tables: each `ALL`
+    /// must list every variant once, in discriminant order, under a
+    /// unique snake_case export name.
     #[test]
-    fn span_records_on_drop() {
-        let r = Recorder::enabled();
-        {
-            let _span = r.span(Phase::Rank);
+    fn event_pool_and_phase_tables_are_consistent() {
+        fn check(names: &[(usize, &str)], count: usize) {
+            assert_eq!(names.len(), count, "ALL.len() != COUNT");
+            let mut seen = std::collections::HashSet::new();
+            for (i, &(index, name)) in names.iter().enumerate() {
+                assert_eq!(index, i, "ALL[{i}] ({name}) out of discriminant order");
+                assert!(seen.insert(name), "duplicate export name {name}");
+                assert!(
+                    !name.is_empty()
+                        && !name.starts_with('_')
+                        && !name.ends_with('_')
+                        && !name.contains("__")
+                        && name.bytes().all(|b| b.is_ascii_lowercase() || b == b'_'),
+                    "{name} is not snake_case"
+                );
+            }
         }
-        assert_eq!(r.snapshot().phase(Phase::Rank).count, 1);
+        let events: Vec<_> = Event::ALL.iter().map(|&e| (e as usize, e.name())).collect();
+        check(&events, Event::COUNT);
+        let pools: Vec<_> = PoolEvent::ALL.iter().map(|&e| (e as usize, e.name())).collect();
+        check(&pools, PoolEvent::COUNT);
+        let phases: Vec<_> = Phase::ALL.iter().map(|&p| (p as usize, p.name())).collect();
+        check(&phases, Phase::COUNT);
     }
 
     #[test]
@@ -985,9 +841,12 @@ mod tests {
         r.add(Event::FileAccess, 30);
         r.add(Event::RecordLookup, 20);
         r.add(Event::BytesRead, 4096 * 25);
+        let mut phase_micros = [0; Phase::COUNT];
+        phase_micros[Phase::Evaluate as usize] = 25;
         let report = MetricsReport {
             queries: 10,
             delta: r.snapshot(),
+            phase_micros,
             traces: Vec::new(),
             engine_micros: 1_000,
             sim_io_micros: 9_000,
@@ -1000,6 +859,11 @@ mod tests {
         assert!(json.contains("\"io_inputs\": 40"));
         assert!(json.contains("\"accesses_per_lookup\": 1.5000"));
         assert!(json.contains("\"kbytes_read\": 100"));
+        assert!(json
+            .contains("\"evaluate\": {\"count\": 10, \"sum_micros\": 25, \"mean_micros\": 2.5}"));
+        assert!(
+            json.contains("\"parse\": {\"count\": 10, \"sum_micros\": 0, \"mean_micros\": 0.0}")
+        );
     }
 
     #[test]
@@ -1012,21 +876,21 @@ mod tests {
         assert_eq!(Recorder::disabled().epoch(), 0);
         assert_eq!(a.snapshot().epoch, a.epoch());
 
-        // Same recorder: checked diff succeeds and keeps the epoch.
+        // Same recorder: the diff keeps the epoch.
         let before = a.snapshot();
         a.add(Event::IoInput, 2);
-        let delta = a.snapshot().since_checked(&before).expect("same recorder");
+        assert!(a.snapshot().epoch_compatible(&before));
+        let delta = a.snapshot().since(&before);
         assert_eq!(delta.get(Event::IoInput), 2);
         assert_eq!(delta.epoch, a.epoch());
 
         // Epoch 0 is a wildcard: hand-built baselines keep working.
+        assert!(a.snapshot().epoch_compatible(&TelemetrySnapshot::default()));
         let delta = a.snapshot().since(&TelemetrySnapshot::default());
         assert_eq!(delta.epoch, a.epoch());
 
-        // Different recorders: typed error, with both epochs reported.
-        let err = a.snapshot().since_checked(&b.snapshot()).unwrap_err();
-        assert_eq!(err, EpochMismatch { expected: a.epoch(), actual: b.epoch() });
-        assert!(err.to_string().contains("different recorders"));
+        // Different recorders are incompatible.
+        assert!(!a.snapshot().epoch_compatible(&b.snapshot()));
     }
 
     #[test]
@@ -1041,13 +905,13 @@ mod tests {
     #[test]
     fn histogram_quantiles_report_bucket_upper_bounds() {
         assert_eq!(HistogramSnapshot::default().quantile_micros(0.99), 0);
-        let r = Recorder::enabled();
+        let h = AtomicHistogram::default();
         for _ in 0..98 {
-            r.record_phase(Phase::Evaluate, 3); // bucket [2, 4)
+            h.record(3); // bucket [2, 3]
         }
-        r.record_phase(Phase::Evaluate, 100); // bucket [64, 128)
-        r.record_phase(Phase::Evaluate, 5000); // bucket [4096, 8192)
-        let h = *r.snapshot().phase(Phase::Evaluate);
+        h.record(100); // bucket [64, 127]
+        h.record(5000); // bucket [4096, 8191]
+        let h = h.snapshot();
         assert_eq!(h.quantile_micros(0.50), 4);
         assert_eq!(h.quantile_micros(0.99), 128);
         assert_eq!(h.quantile_micros(1.0), 8192);

@@ -525,8 +525,9 @@ impl RegistrySnapshot {
     }
 
     /// Prometheus text exposition (one `# TYPE` line plus samples per
-    /// metric, every name prefixed with `prefix`). Histogram buckets use
-    /// the crate's power-of-two-microsecond upper bounds.
+    /// metric, every name prefixed with `prefix`). Histogram bucket `i`
+    /// holds whole microseconds up to `2^i - 1`, so that is its inclusive
+    /// `le` bound (bucket 0 is `le="0"`; the last is `le="+Inf"`).
     pub fn prometheus_text(&self, prefix: &str) -> String {
         let mut s = String::with_capacity(128 + self.metrics.len() * 256);
         for m in &self.metrics {
@@ -546,7 +547,7 @@ impl RegistrySnapshot {
                         let le = if i == HISTOGRAM_BUCKETS - 1 {
                             "+Inf".to_string()
                         } else {
-                            (1u64 << i).to_string()
+                            ((1u64 << i) - 1).to_string()
                         };
                         s.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {acc}\n"));
                     }
@@ -1032,16 +1033,22 @@ mod tests {
         reg.counter("admitted").add(12);
         reg.gauge("depth").set(3);
         let h = reg.histogram("lat");
-        h.record(5); // bucket [4, 8) -> le="8" cumulative
+        // Each value on a bucket boundary: le is an inclusive bound, so an
+        // observation equal to it counts in that series.
+        for micros in [0, 1, 4, 7, 8] {
+            h.record(micros);
+        }
         let text = reg.snapshot().prometheus_text("poir_service_");
         assert!(text.contains("# TYPE poir_service_admitted counter\npoir_service_admitted 12\n"));
         assert!(text.contains("# TYPE poir_service_depth gauge\npoir_service_depth 3\n"));
         assert!(text.contains("# TYPE poir_service_lat histogram\n"));
-        assert!(text.contains("poir_service_lat_bucket{le=\"4\"} 0\n"));
-        assert!(text.contains("poir_service_lat_bucket{le=\"8\"} 1\n"));
-        assert!(text.contains("poir_service_lat_bucket{le=\"+Inf\"} 1\n"));
-        assert!(text.contains("poir_service_lat_sum 5\n"));
-        assert!(text.contains("poir_service_lat_count 1\n"));
+        for (le, cumulative) in [("0", 1), ("1", 2), ("3", 2), ("7", 4), ("15", 5), ("+Inf", 5)] {
+            let line = format!("poir_service_lat_bucket{{le=\"{le}\"}} {cumulative}\n");
+            assert!(text.contains(&line), "missing {line:?} in\n{text}");
+        }
+        assert!(!text.contains("le=\"4\"") && !text.contains("le=\"8\""), "{text}");
+        assert!(text.contains("poir_service_lat_sum 20\n"));
+        assert!(text.contains("poir_service_lat_count 5\n"));
     }
 
     #[test]

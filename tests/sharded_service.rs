@@ -10,13 +10,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use poir::core::{
-    BackendKind, CoreError, Engine, ExecMode, QueryRequest, QueryService, ServiceConfig, ShardSpec,
+    BackendKind, CoreError, Engine, ExecMode, QueryRequest, QueryService, ServiceConfig,
+    ServiceStats, ShardSpec,
 };
 use poir::inquery::{Index, IndexBuilder, StopWords};
 use poir::storage::{
     CostModel, Device, DeviceConfig, FaultKind, FaultOp, FaultPlan, FaultRule, FaultSchedule,
 };
-use poir::telemetry::{Event, TelemetryOptions};
+use poir::telemetry::{Event, MetricValue, TelemetryOptions};
 
 fn build_index(num_docs: usize) -> Index {
     let mut b = IndexBuilder::new(StopWords::default());
@@ -47,6 +48,30 @@ fn device() -> Arc<Device> {
 
 const BAG_QUERIES: &[&str] =
     &["w3 w17 w50", "w100 rare5", "#wsum(3 w7 1 w9 2 rare11)", "w1 w2 w3 w4 w5", "rare0 w200"];
+
+/// The service's accounting after a drained run of `submitted`
+/// submissions. Each outcome has one owner — the registry, the shard
+/// health table, the result cache — and these invariants tie them
+/// together: every submission was admitted or rejected, every admitted
+/// request completed, expired or failed, nothing is queued or running,
+/// the retry counter is the per-shard sum, and the registry's
+/// result-cache counters are the cache's own.
+fn assert_drained_accounting(service: &QueryService, submitted: u64) -> ServiceStats {
+    let stats = service.stats();
+    assert_eq!(stats.admitted + stats.rejected, submitted, "{stats:?}");
+    assert_eq!(stats.admitted, stats.completed + stats.expired + stats.failed, "{stats:?}");
+    assert_eq!((stats.queue_depth, stats.in_flight), (0, 0));
+    assert_eq!(service.queue_depth(), 0);
+    let per_shard: u64 = stats.shard_health.iter().map(|h| h.retries).sum();
+    assert_eq!(stats.shard_retries, per_shard);
+    let counter = |name: &str| match stats.registry.get(name) {
+        Some(MetricValue::Counter { total, .. }) => *total,
+        other => panic!("{name} missing or not a counter: {other:?}"),
+    };
+    let (hits, misses) = stats.result_cache.as_ref().map_or((0, 0), |c| (c.hits, c.misses));
+    assert_eq!((counter("result_cache_hits"), counter("result_cache_misses")), (hits, misses));
+    stats
+}
 
 /// A ranking as exactly comparable tuples (score bit patterns included).
 fn keyed(hits: &[poir::core::RankedResult]) -> Vec<(u32, String, u64)> {
@@ -139,11 +164,8 @@ fn service_reproduces_sharded_rankings_and_reports_queue_wait() {
 #[test]
 fn full_queue_rejects_with_overloaded_and_admitted_requests_complete() {
     let index = build_index(150);
-    let engine = Engine::builder(&device())
-        .telemetry(TelemetryOptions::counters_only())
-        .sharding(ShardSpec::new(1, 1))
-        .build_sharded(index)
-        .unwrap();
+    let engine =
+        Engine::builder(&device()).sharding(ShardSpec::new(1, 1)).build_sharded(index).unwrap();
     let service = QueryService::start(engine, 2).unwrap();
     assert_eq!(service.capacity(), 2);
     // One worker, capacity 2: a burst of non-blocking submissions must
@@ -168,12 +190,12 @@ fn full_queue_rejects_with_overloaded_and_admitted_requests_complete() {
         let resp = p.wait().expect("admitted request must complete");
         assert!(!resp.hits.is_empty());
     }
-    // Counter bookkeeping: every submission was either enqueued or
-    // rejected, and the shared recorder saw each exactly once.
-    let snap = service.recorder().snapshot();
-    assert_eq!(snap.get(Event::QueueEnqueued), admitted as u64);
-    assert_eq!(snap.get(Event::QueueRejected), rejected as u64);
-    assert_eq!(admitted + rejected, 200);
+    // Counter bookkeeping: every submission was either admitted or
+    // rejected, and the registry counted each exactly once.
+    let stats = assert_drained_accounting(&service, 200);
+    assert_eq!(stats.admitted, admitted as u64);
+    assert_eq!(stats.rejected, rejected as u64);
+    assert_eq!(stats.completed, admitted as u64);
 }
 
 #[test]
@@ -200,11 +222,8 @@ fn deadline_between_shards_returns_partial_results() {
 #[test]
 fn expired_deadline_at_dequeue_is_rejected_without_evaluation() {
     let index = build_index(100);
-    let engine = Engine::builder(&device())
-        .telemetry(TelemetryOptions::counters_only())
-        .sharding(ShardSpec::new(2, 1))
-        .build_sharded(index)
-        .unwrap();
+    let engine =
+        Engine::builder(&device()).sharding(ShardSpec::new(2, 1)).build_sharded(index).unwrap();
     let service = QueryService::start(engine, 4).unwrap();
     let err = service.query(QueryRequest::new("w3 w17", 10).deadline(Duration::ZERO)).unwrap_err();
     match err {
@@ -213,7 +232,8 @@ fn expired_deadline_at_dequeue_is_rejected_without_evaluation() {
         }
         other => panic!("expected DeadlineExceeded, got {other}"),
     }
-    assert_eq!(service.recorder().snapshot().get(Event::QueueExpired), 1);
+    let stats = assert_drained_accounting(&service, 1);
+    assert_eq!((stats.expired, stats.completed), (1, 0));
 }
 
 #[test]
@@ -371,7 +391,6 @@ fn shard_storage_faults_degrade_to_partial_results_and_recover() {
     let dev = device();
     let engine = Engine::builder(&dev)
         .backend(BackendKind::MnemeNoCache)
-        .telemetry(TelemetryOptions::counters_only())
         .sharding(ShardSpec::new(2, 2))
         .build_sharded(index)
         .unwrap();
@@ -405,7 +424,7 @@ fn shard_storage_faults_degrade_to_partial_results_and_recover() {
     assert!(max_doc < 100, "hit {max_doc} outside shard 0's document range");
     assert!(dev.fault_stats().eio >= 1, "the injected faults actually fired");
 
-    let stats = service.stats();
+    let stats = assert_drained_accounting(&service, BAG_QUERIES.len() as u64 + 1);
     assert!(stats.degraded >= 1);
     assert!(stats.shard_retries >= 1);
     assert_eq!(stats.worker_panics, 0);
@@ -413,9 +432,6 @@ fn shard_storage_faults_degrade_to_partial_results_and_recover() {
     let sick = &stats.shard_health[1];
     assert!(!sick.healthy, "shard 1's latest evaluation failed");
     assert!(sick.failures >= 1 && sick.retries >= 1 && sick.consecutive_failures >= 1);
-    let snap = service.recorder().snapshot();
-    assert!(snap.get(Event::DegradedResponse) >= 1);
-    assert!(snap.get(Event::ShardRetry) >= 1);
 
     // Fault clears: rankings return bit-identical and health recovers.
     dev.clear_fault_plan();
@@ -424,7 +440,8 @@ fn shard_storage_faults_degrade_to_partial_results_and_recover() {
         assert!(resp.degraded.is_none());
         assert_eq!(keyed(&resp.hits), keyed(&reference[qi]), "post-recovery diverged on {q:?}");
     }
-    assert!(service.stats().shard_health[1].healthy, "clean evaluation must reset health");
+    let stats = assert_drained_accounting(&service, 2 * BAG_QUERIES.len() as u64 + 1);
+    assert!(stats.shard_health[1].healthy, "clean evaluation must reset health");
     service.shutdown();
 }
 
@@ -472,7 +489,7 @@ fn worker_panic_is_caught_counted_and_the_pool_survives() {
 fn sharded_telemetry_aggregates_without_double_counting() {
     let index = build_index(200);
     let mut sharded = Engine::builder(&device())
-        .telemetry(TelemetryOptions::counters_only())
+        .telemetry(TelemetryOptions::full())
         .sharding(ShardSpec::new(4, 4))
         .build_sharded(index)
         .unwrap();
@@ -488,7 +505,7 @@ fn sharded_telemetry_aggregates_without_double_counting() {
     assert!(report.record_lookups > 0);
     // Each query fetches its terms' records once per shard.
     let mut unsharded = Engine::builder(&device())
-        .telemetry(TelemetryOptions::counters_only())
+        .telemetry(TelemetryOptions::full())
         .build(build_index(200))
         .unwrap();
     let (base_report, _) =

@@ -3,8 +3,9 @@
 //! statistics (I = I/O inputs, A = accesses per lookup, B = Kbytes read)
 //! derived purely from the `MetricsReport` must equal the `IoSnapshot`
 //! deltas the engine measures through `IoStats` — exactly, not
-//! approximately — and the cost-model time recomputed from telemetry must
-//! equal the `sys_io_time` charge.
+//! approximately. The report's cost-model time is the `sys_io_time`
+//! charge itself, and its phase totals are the per-query phase tables
+//! summed.
 
 use poir::collections::{self, generate_queries, SyntheticCollection};
 use poir::core::{BackendKind, Engine, ExecMode, MetricsReport, QuerySetReport, TelemetryOptions};
@@ -88,8 +89,14 @@ fn serial_and_batched_counters_match_iostats_on_every_backend() {
                 let per_query: u64 = metrics.traces.iter().map(|t| t.get(event)).sum();
                 assert_eq!(per_query, metrics.delta.get(event), "{context}: {event:?} sum");
             }
-            // Phase histograms saw every query.
-            assert_eq!(metrics.delta.phase(Phase::Evaluate).count, queries.len() as u64);
+            // The set's phase totals are the per-query phase tables summed,
+            // and the JSON counts one observation per query.
+            for phase in Phase::ALL {
+                let per_query: u64 = metrics.traces.iter().map(|t| t.phase_micros(phase)).sum();
+                assert_eq!(metrics.phase_micros[phase as usize], per_query, "{context}: {phase:?}");
+            }
+            let count = format!("\"evaluate\": {{\"count\": {}, ", queries.len());
+            assert!(metrics.to_json().contains(&count), "{context}: phase count");
         }
     }
 }
@@ -102,8 +109,9 @@ fn parallel_counters_match_iostats() {
         let parallel = engine.run_query_set_parallel(&queries, 20, threads).unwrap();
         let metrics = assert_metrics_match(&parallel.report, &format!("parallel_{threads}"));
         assert!(metrics.io_inputs() > 0);
-        // Parallel runs report set-level counters only.
+        // Parallel runs report set-level counters and phase totals only.
         assert!(metrics.traces.is_empty());
+        assert!(metrics.phase_micros[Phase::Evaluate as usize] > 0, "phase totals summed");
         assert!(metrics.delta.get(Event::DictLookup) > 0, "dict lookups aggregate across threads");
     }
 }
