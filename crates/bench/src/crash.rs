@@ -146,14 +146,40 @@ fn payload(rng: &mut u64, term: usize) -> Vec<u8> {
     InvertedRecord::from_postings(postings).encode()
 }
 
+/// Postings of the growing term's record when created; each update of it
+/// appends [`GROW_STEP`] more. The record starts in the large-object pool
+/// under 4 KB and crosses it within a few updates: each update that
+/// outgrows its segment relocates it with headroom, and the next ones
+/// write their tails in place — the writes a crash can tear in an
+/// incrementally updated index.
+const GROW_BASE: u32 = 1400;
+/// Postings each update appends to the growing term's record.
+const GROW_STEP: u32 = 64;
+
+/// The growing term's record after `updates` updates: one posting per doc
+/// `0..GROW_BASE + updates·GROW_STEP`, so each version extends the last.
+fn growing_payload(updates: usize) -> Vec<u8> {
+    let docs = GROW_BASE + updates as u32 * GROW_STEP;
+    let postings = (0..docs)
+        .map(|d| {
+            let tf = 1 + d % 3;
+            Posting { doc: DocId(d), tf, positions: (0..tf).map(|p| p * 5 + d % 7).collect() }
+        })
+        .collect();
+    InvertedRecord::from_postings(postings).encode()
+}
+
 /// Generates the op script and the per-prefix shadow snapshots:
-/// `snapshots[i]` is the model state after `i` ops.
+/// `snapshots[i]` is the model state after `i` ops. Term 0 is the growing
+/// term: it is never deleted, and every update appends a tail to its
+/// record ([`growing_payload`]).
 fn generate(opts: &CrashOptions) -> (Vec<ScriptOp>, Vec<Snapshot>) {
     let mut rng = seed_state(opts.seed);
     let mut script = Vec::with_capacity(opts.ops);
     let mut snapshots = Vec::with_capacity(opts.ops + 1);
     // term -> current creation-order index (None = absent or deleted).
     let mut term_obj: Vec<Option<usize>> = vec![None; opts.terms.max(1)];
+    let mut grown = 0usize;
     let mut objects: Snapshot = Vec::new();
     snapshots.push(objects.clone());
     for i in 0..opts.ops {
@@ -163,7 +189,10 @@ fn generate(opts: &CrashOptions) -> (Vec<ScriptOp>, Vec<Snapshot>) {
             let term = (xorshift(&mut rng) % opts.terms.max(1) as u64) as usize;
             match term_obj[term] {
                 None => {
-                    let data = payload(&mut rng, term);
+                    let mut data = payload(&mut rng, term);
+                    if term == 0 {
+                        data = growing_payload(0);
+                    }
                     let pool = if data.len() > 300 { PoolId(2) } else { PoolId(1) };
                     let obj = objects.len();
                     term_obj[term] = Some(obj);
@@ -171,8 +200,12 @@ fn generate(opts: &CrashOptions) -> (Vec<ScriptOp>, Vec<Snapshot>) {
                     ScriptOp::Create { obj, pool, data }
                 }
                 Some(obj) => {
-                    if xorshift(&mut rng) % 10 < 7 {
-                        let data = payload(&mut rng, term);
+                    if xorshift(&mut rng) % 10 < 7 || term == 0 {
+                        let mut data = payload(&mut rng, term);
+                        if term == 0 {
+                            grown += 1;
+                            data = growing_payload(grown);
+                        }
                         objects[obj] = ObjState::Live(data.clone());
                         ScriptOp::Update { obj, data }
                     } else {
@@ -533,6 +566,41 @@ mod tests {
         assert_eq!(report.crash_points, 12);
         // Every crash point recovered three ways, plus the power cuts.
         assert_eq!(report.recoveries, 12 * 3 + 2);
+    }
+
+    #[test]
+    fn growing_term_crosses_4k_by_appending_tails() {
+        let first = growing_payload(0);
+        assert!(first.len() > 300 && first.len() < 4096, "{} bytes", first.len());
+        let mut prev = first;
+        let mut crossed = false;
+        for updates in 1..=8 {
+            let next = growing_payload(updates);
+            assert!(next.len() > prev.len());
+            crossed |= next.len() > 4096;
+            prev = next;
+        }
+        assert!(crossed, "8 updates reach only {} bytes", prev.len());
+        // The script updates it more than once at the CI grid's settings.
+        let opts = CrashOptions {
+            seed: 3735928559,
+            ops: 32,
+            terms: 8,
+            checkpoint_every: 8,
+            ..CrashOptions::default()
+        };
+        let (script, _) = generate(&opts);
+        let grower = script.iter().find_map(|op| match op {
+            ScriptOp::Create { obj, data, .. } if *data == growing_payload(0) => Some(*obj),
+            _ => None,
+        });
+        let grower = grower.expect("the script creates the growing term");
+        let updates = script
+            .iter()
+            .filter(|op| matches!(op, ScriptOp::Update { obj, .. } if *obj == grower))
+            .count();
+        assert!(updates >= 2, "growing term updated {updates} times");
+        assert!(!script.iter().any(|op| matches!(op, ScriptOp::Delete { obj } if *obj == grower)));
     }
 
     #[test]

@@ -833,9 +833,12 @@ impl Engine {
     /// deleted). A restore that itself fails leaves that record as the
     /// update wrote it; the caller sees the update's own error either way.
     ///
-    /// A record that outgrows its slot moves to the end of the file, and
-    /// the space it leaves is reclaimed only by an explicit
-    /// [`poir_mneme::gc::compact`] pass, which no engine path runs.
+    /// Records are rewritten through [`poir_mneme::MnemeFile::update`],
+    /// which writes back only the bytes a splice changed. A record that
+    /// outgrows its segment moves to the end of the data region with one
+    /// size class of headroom, and the space it leaves is reclaimed only
+    /// by an explicit [`poir_mneme::gc::compact`] pass, which no engine
+    /// path runs.
     pub fn remove_document(&mut self, doc: DocId, text: &str) -> Result<()> {
         let Engine { store, dict, stop, .. } = self;
         let StoreImpl::Mneme(store) = store else {

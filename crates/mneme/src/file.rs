@@ -51,6 +51,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Duration;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -178,9 +179,14 @@ fn allocate_id(handle: &FileHandle, meta: &mut Meta, ps: &mut PoolState) -> Resu
     Ok(id)
 }
 
+/// Writes a segment image back to its address: only the runs that differ
+/// from what the file holds there, or the whole image if the file holds
+/// nothing there yet ([`SegmentImage::changed_runs`]).
 fn save_segment(handle: &FileHandle, addr: SegmentAddr, image: &mut SegmentImage) -> Result<()> {
     debug_assert_eq!(image.len(), addr.len as usize);
-    handle.write(addr.offset, image.bytes())?;
+    for run in image.changed_runs() {
+        handle.write(addr.offset + run.start as u64, &image.bytes()[run])?;
+    }
     image.mark_clean();
     Ok(())
 }
@@ -312,14 +318,51 @@ fn with_segment_read<R>(
     Ok(result)
 }
 
-/// Extracts `id`'s payload from a located segment image as a zero-copy
-/// shared slice of the image's buffer.
-fn extract_object(pool: &dyn Pool, seg: &SegmentImage, id: ObjectId) -> Result<ObjectBytes> {
-    match pool.locate(seg.bytes(), id) {
-        LocateResult::Found(r) => Ok(ObjectBytes::shared(seg.share(), r.start, r.end)),
+/// `id`'s payload range in `seg`, the whole or a prefix of a segment of
+/// `seg_len` bytes, or the error a read of it reports. A range the header
+/// places past the segment's end is [`MnemeError::Corrupt`].
+fn locate_in(pool: &dyn Pool, seg: &[u8], seg_len: usize, id: ObjectId) -> Result<Range<usize>> {
+    match pool.locate(seg, id) {
+        LocateResult::Found(r) if r.end <= seg_len => Ok(r),
+        LocateResult::Found(_) | LocateResult::Corrupt => Err(MnemeError::Corrupt(format!(
+            "object {id:?}: segment header does not fit its {seg_len} bytes"
+        ))),
         LocateResult::Deleted => Err(MnemeError::ObjectDeleted(id)),
         LocateResult::Absent => Err(MnemeError::NoSuchObject(id)),
     }
+}
+
+/// Extracts `id`'s payload from a located segment image as a zero-copy
+/// shared slice of the image's buffer.
+fn extract_object(pool: &dyn Pool, seg: &SegmentImage, id: ObjectId) -> Result<ObjectBytes> {
+    let r = locate_in(pool, seg.bytes(), seg.len(), id)?;
+    Ok(ObjectBytes::shared(seg.share(), r.start, r.end))
+}
+
+/// Moves `id` out of the segment it outgrew: writes `data` into a fresh
+/// relocation segment at the end of the data region (one size class of
+/// headroom, [`Pool::relocation_segment`]) and shadows the slot with a
+/// location-table exception. The old copy, `old_len` bytes, is garbage.
+fn relocate(
+    handle: &FileHandle,
+    recorder: &Recorder,
+    meta: &mut Meta,
+    ps: &mut PoolState,
+    id: ObjectId,
+    data: &[u8],
+    old_len: usize,
+) -> Result<()> {
+    meta.garbage_bytes += old_len as u64;
+    let mut image = ps.pool.relocation_segment(id, data.len());
+    let outcome = ps.pool.try_append(&mut image, id, data);
+    debug_assert_eq!(outcome, AppendOutcome::Appended, "fresh segment must accept its object");
+    let new_addr = allocate_segment(meta, image.len());
+    let evicted = ps.buffer.insert(new_addr, image);
+    note_evictions(recorder, ps.pool.id(), &evicted);
+    save_evicted(handle, evicted)?;
+    ensure_bucket_loaded(handle, meta, id.segment())?;
+    meta.table.entry_mut(id.segment(), ps.pool.id())?.set_exception(id.slot(), new_addr);
+    Ok(())
 }
 
 /// Resolves `id` against already-loaded tables.
@@ -615,25 +658,13 @@ impl MnemeFile {
         let old_len = with_segment_in(handle, recorder, ps, addr, |pool, seg| {
             match pool.locate(seg.bytes(), id) {
                 LocateResult::Found(r) => {
-                    let len = r.len();
                     pool.delete(seg, id);
-                    len
+                    r.len()
                 }
                 _ => 0,
             }
         })?;
-        meta.garbage_bytes += old_len as u64;
-        let mut image = ps.pool.new_segment(id, data.len());
-        let outcome = ps.pool.try_append(&mut image, id, data);
-        debug_assert_eq!(outcome, AppendOutcome::Appended, "fresh segment must accept its object");
-        let new_addr = allocate_segment(meta, image.len());
-        let evicted = ps.buffer.insert(new_addr, image);
-        note_evictions(recorder, ps.pool.id(), &evicted);
-        save_evicted(handle, evicted)?;
-        let pool_id = ps.pool.id();
-        ensure_bucket_loaded(handle, meta, id.segment())?;
-        meta.table.entry_mut(id.segment(), pool_id)?.set_exception(id.slot(), new_addr);
-        Ok(())
+        relocate(handle, recorder, meta, ps, id, data, old_len)
     }
 
     /// Resolves an object id to its pool and physical segment, loading the
@@ -711,16 +742,10 @@ impl MnemeFile {
         }
         let pool_id = ps.pool.id();
         let slice_image = |pool: &dyn Pool, seg: &SegmentImage| -> Result<ObjectBytes> {
-            match pool.locate(seg.bytes(), id) {
-                LocateResult::Found(r) => {
-                    let payload_len = r.end - r.start;
-                    let from = (start.min(payload_len as u64)) as usize;
-                    let to = from.saturating_add(len).min(payload_len);
-                    Ok(ObjectBytes::shared(seg.share(), r.start + from, r.start + to))
-                }
-                LocateResult::Deleted => Err(MnemeError::ObjectDeleted(id)),
-                LocateResult::Absent => Err(MnemeError::NoSuchObject(id)),
-            }
+            let r = locate_in(pool, seg.bytes(), seg.len(), id)?;
+            let from = (start.min(r.len() as u64)) as usize;
+            let to = from.saturating_add(len).min(r.len());
+            Ok(ObjectBytes::shared(seg.share(), r.start + from, r.start + to))
         };
         let payload = if let Some((baddr, image)) = ps.building.as_ref().filter(|(b, _)| *b == addr)
         {
@@ -742,14 +767,9 @@ impl MnemeFile {
                 // tells us the object is live and how long it really is.
                 let want = len.min(capacity);
                 let bytes = self.handle.read(addr.offset, SEGMENT_HEADER_LEN + want)?;
-                match ps.pool.locate(&bytes, id) {
-                    LocateResult::Found(r) => {
-                        let end = r.end.min(bytes.len());
-                        ObjectBytes::from(bytes[r.start.min(end)..end].to_vec())
-                    }
-                    LocateResult::Deleted => return Err(MnemeError::ObjectDeleted(id)),
-                    LocateResult::Absent => return Err(MnemeError::NoSuchObject(id)),
-                }
+                let r = locate_in(ps.pool.as_ref(), &bytes, addr.len as usize, id)?;
+                let end = r.end.min(bytes.len());
+                ObjectBytes::from(bytes[r.start.min(end)..end].to_vec())
             } else {
                 let from = (start as usize).min(capacity);
                 let take = len.min(capacity - from);
@@ -966,11 +986,7 @@ impl MnemeFile {
         let (pool_idx, addr) = self.resolve(id)?;
         let mut ps = self.lock_pool(pool_idx);
         with_segment_read(&self.handle, &self.recorder, &mut ps, addr, |pool, seg| {
-            match pool.locate(seg.bytes(), id) {
-                LocateResult::Found(r) => Ok(r.len()),
-                LocateResult::Deleted => Err(MnemeError::ObjectDeleted(id)),
-                LocateResult::Absent => Err(MnemeError::NoSuchObject(id)),
-            }
+            locate_in(pool, seg.bytes(), seg.len(), id).map(|r| r.len())
         })?
     }
 
@@ -981,8 +997,12 @@ impl MnemeFile {
     }
 
     /// Overwrites an object's payload. Updates happen in place when the new
-    /// payload fits; otherwise the object is relocated to a fresh physical
-    /// segment and recorded as a location-table exception.
+    /// payload fits its segment; otherwise the old copy is tombstoned and
+    /// the object moves to a fresh segment at the end of the data region,
+    /// one size class larger than it needs, recorded as a location-table
+    /// exception. The appends that follow a move then fit in place, and a
+    /// write-back writes only the bytes an update changed, so an append
+    /// costs about the bytes it appends plus the headers it touches.
     pub fn update(&mut self, id: ObjectId, data: &[u8]) -> Result<()> {
         let MnemeFile { handle, configs, pools, meta, recorder } = self;
         let meta = meta.get_mut();
@@ -995,38 +1015,19 @@ impl MnemeFile {
                 return Err(MnemeError::ObjectTooLarge { len: data.len(), max });
             }
         }
-        let in_place = with_segment_in(handle, recorder, ps, addr, |pool, seg| {
-            match pool.locate(seg.bytes(), id) {
-                LocateResult::Found(_) => Ok(pool.try_update_in_place(seg, id, data)),
-                LocateResult::Deleted => Err(MnemeError::ObjectDeleted(id)),
-                LocateResult::Absent => Err(MnemeError::NoSuchObject(id)),
+        // In place, or tombstone the old copy for a move (one reference).
+        let moved = with_segment_in(handle, recorder, ps, addr, |pool, seg| {
+            let old = locate_in(pool, seg.bytes(), seg.len(), id)?;
+            if pool.try_update_in_place(seg, id, data) {
+                return Ok(None);
             }
-        })??;
-        if in_place {
-            return Ok(());
-        }
-        // Relocate: tombstone the old copy, then write a fresh single-object
-        // segment and shadow the slot with an exception entry.
-        let old_len = with_segment_in(handle, recorder, ps, addr, |pool, seg| {
-            let len = match pool.locate(seg.bytes(), id) {
-                LocateResult::Found(r) => r.len(),
-                _ => 0,
-            };
             pool.delete(seg, id);
-            len
-        })?;
-        meta.garbage_bytes += old_len as u64;
-        let mut image = ps.pool.new_segment(id, data.len());
-        let outcome = ps.pool.try_append(&mut image, id, data);
-        debug_assert_eq!(outcome, AppendOutcome::Appended, "fresh segment must accept its object");
-        let new_addr = allocate_segment(meta, image.len());
-        let evicted = ps.buffer.insert(new_addr, image);
-        note_evictions(recorder, ps.pool.id(), &evicted);
-        save_evicted(handle, evicted)?;
-        let pool_id = ps.pool.id();
-        ensure_bucket_loaded(handle, meta, id.segment())?;
-        meta.table.entry_mut(id.segment(), pool_id)?.set_exception(id.slot(), new_addr);
-        Ok(())
+            Ok::<_, MnemeError>(Some(old.len()))
+        })??;
+        match moved {
+            Some(old_len) => relocate(handle, recorder, meta, ps, id, data, old_len),
+            None => Ok(()),
+        }
     }
 
     /// Deletes an object. The slot is tombstoned; space is reclaimed by
@@ -1039,15 +1040,9 @@ impl MnemeFile {
         let (pool_idx, addr) = resolve_in(meta, configs, id)?;
         let ps = pools[pool_idx].get_mut();
         let freed = with_segment_in(handle, recorder, ps, addr, |pool, seg| {
-            match pool.locate(seg.bytes(), id) {
-                LocateResult::Found(r) => {
-                    let len = r.len();
-                    pool.delete(seg, id);
-                    Ok(len)
-                }
-                LocateResult::Deleted => Err(MnemeError::ObjectDeleted(id)),
-                LocateResult::Absent => Err(MnemeError::NoSuchObject(id)),
-            }
+            let r = locate_in(pool, seg.bytes(), seg.len(), id)?;
+            pool.delete(seg, id);
+            Ok::<_, MnemeError>(r.len())
         })??;
         meta.garbage_bytes += freed as u64;
         Ok(())
@@ -1207,11 +1202,7 @@ impl MnemeFile {
         let (pool_idx, addr) = self.resolve(id)?;
         let mut ps = self.lock_pool(pool_idx);
         with_segment_read(&self.handle, &self.recorder, &mut ps, addr, |pool, seg| {
-            match pool.locate(seg.bytes(), id) {
-                LocateResult::Found(r) => Ok(pool.references(&seg.bytes()[r])),
-                LocateResult::Deleted => Err(MnemeError::ObjectDeleted(id)),
-                LocateResult::Absent => Err(MnemeError::NoSuchObject(id)),
-            }
+            locate_in(pool, seg.bytes(), seg.len(), id).map(|r| pool.references(&seg.bytes()[r]))
         })?
     }
 
@@ -1223,16 +1214,15 @@ impl MnemeFile {
         for (pool_id, addr) in segments {
             let pool_idx = self.pool_index(pool_id)?;
             let ps = self.pools[pool_idx].get_mut();
-            let mut ids =
-                with_segment_read(&self.handle, &self.recorder, ps, addr, |pool, seg| {
-                    pool.live_objects(seg.bytes()).into_iter().map(|(id, _)| id).collect::<Vec<_>>()
-                })?;
+            let live = with_segment_read(&self.handle, &self.recorder, ps, addr, |pool, seg| {
+                pool.live_objects(seg.bytes())
+            })??;
             // An object relocated by update() is live in its new segment and
             // tombstoned in the old, so no dedup is needed — but an object
             // whose exception points elsewhere must not be double-counted if
             // the old copy was not tombstoned. delete()/update() always
             // tombstone, so simply collect.
-            out.append(&mut ids);
+            out.extend(live.into_iter().map(|(id, _)| id));
         }
         out.sort_unstable();
         out.dedup();
@@ -1284,7 +1274,7 @@ impl MnemeFile {
         let ps = self.pools[pool_idx].get_mut();
         with_segment_read(&self.handle, &self.recorder, ps, addr, |p, seg| {
             p.live_objects(seg.bytes())
-        })
+        })?
     }
 
     /// Where the tables place `id`, or `None` when unmapped.

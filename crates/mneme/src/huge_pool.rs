@@ -7,10 +7,11 @@
 //! pool." (Section 3.3)
 //!
 //! Physical segments are "of arbitrary size" (Section 3.2), so each segment
-//! here is exactly `HEADER + payload` bytes. The pool-specific header word
-//! stores the payload length, allowing in-place updates that shrink (or grow
-//! within the originally allocated capacity) without touching the location
-//! tables.
+//! the build path writes is exactly `HEADER + payload` bytes. An object
+//! relocated by an update that outgrew its segment gets one size class of
+//! headroom ([`crate::pool::relocation_capacity`]). The pool-specific header
+//! word stores the payload length, allowing in-place updates that shrink (or
+//! grow within the allocated capacity) without touching the location tables.
 //!
 //! With `embedded_refs`, objects begin with a table of packed
 //! [`crate::GlobalId`] references (see [`crate::refs`]), satisfying the
@@ -19,10 +20,11 @@
 
 use std::ops::Range;
 
+use crate::error::Result;
 use crate::id::{ObjectId, PoolId};
 use crate::pool::{
-    header_word, set_header_count, set_header_word, write_header, AppendOutcome, LocateResult,
-    Pool, SEGMENT_HEADER_LEN,
+    corrupt, header_word, relocation_capacity, set_header_count, set_header_word, write_header,
+    AppendOutcome, LocateResult, Pool, SEGMENT_HEADER_LEN,
 };
 use crate::refs;
 use crate::segment::{SegmentImage, SegmentKind};
@@ -47,6 +49,12 @@ impl HugePool {
     fn stored_id(seg: &[u8]) -> u32 {
         u32::from_le_bytes(seg[8..12].try_into().unwrap())
     }
+
+    fn segment(&self, first: ObjectId, len: usize) -> SegmentImage {
+        let mut bytes = vec![0u8; len];
+        write_header(&mut bytes, SegmentKind::SingleObject, self.id, 0, 0, first);
+        SegmentImage::new_dirty(bytes)
+    }
 }
 
 impl Pool for HugePool {
@@ -63,9 +71,11 @@ impl Pool for HugePool {
     }
 
     fn new_segment(&self, first: ObjectId, first_len: usize) -> SegmentImage {
-        let mut bytes = vec![0u8; SEGMENT_HEADER_LEN + first_len];
-        write_header(&mut bytes, SegmentKind::SingleObject, self.id, 0, 0, first);
-        SegmentImage::new_dirty(bytes)
+        self.segment(first, SEGMENT_HEADER_LEN + first_len)
+    }
+
+    fn relocation_segment(&self, id: ObjectId, len: usize) -> SegmentImage {
+        self.segment(id, relocation_capacity(SEGMENT_HEADER_LEN + len))
     }
 
     fn try_append(&self, seg: &mut SegmentImage, id: ObjectId, data: &[u8]) -> AppendOutcome {
@@ -83,6 +93,9 @@ impl Pool for HugePool {
     }
 
     fn locate(&self, seg: &[u8], id: ObjectId) -> LocateResult {
+        if seg.len() < SEGMENT_HEADER_LEN {
+            return LocateResult::Corrupt;
+        }
         if Self::stored_id(seg) != id.raw() {
             return LocateResult::Absent;
         }
@@ -123,12 +136,20 @@ impl Pool for HugePool {
         }
     }
 
-    fn live_objects(&self, seg: &[u8]) -> Vec<(ObjectId, Range<usize>)> {
-        if crate::pool::header_count(seg) == 0 || header_word(seg) == LEN_DELETED {
-            return Vec::new();
+    fn live_objects(&self, seg: &[u8]) -> Result<Vec<(ObjectId, Range<usize>)>> {
+        if seg.len() < SEGMENT_HEADER_LEN {
+            return Err(corrupt("truncated header", seg));
         }
-        let id = ObjectId::from_raw(Self::stored_id(seg)).expect("stored ids are valid");
-        vec![(id, SEGMENT_HEADER_LEN..SEGMENT_HEADER_LEN + header_word(seg) as usize)]
+        if crate::pool::header_count(seg) == 0 || header_word(seg) == LEN_DELETED {
+            return Ok(Vec::new());
+        }
+        let range = SEGMENT_HEADER_LEN..SEGMENT_HEADER_LEN + header_word(seg) as usize;
+        if range.end > seg.len() {
+            return Err(corrupt(&format!("payload length {}", range.len()), seg));
+        }
+        let id = ObjectId::from_raw(Self::stored_id(seg))
+            .ok_or_else(|| corrupt("invalid object id", seg))?;
+        Ok(vec![(id, range)])
     }
 
     fn references(&self, object: &[u8]) -> Vec<u64> {
@@ -162,7 +183,7 @@ mod tests {
             o => panic!("{o:?}"),
         }
         assert_eq!(p.locate(seg.bytes(), oid(1)), LocateResult::Absent);
-        assert_eq!(p.live_objects(seg.bytes()).len(), 1);
+        assert_eq!(p.live_objects(seg.bytes()).unwrap().len(), 1);
     }
 
     #[test]
@@ -196,7 +217,7 @@ mod tests {
         assert!(p.delete(&mut seg, oid(3)));
         assert!(!p.delete(&mut seg, oid(3)));
         assert_eq!(p.locate(seg.bytes(), oid(3)), LocateResult::Deleted);
-        assert!(p.live_objects(seg.bytes()).is_empty());
+        assert!(p.live_objects(seg.bytes()).unwrap().is_empty());
         assert!(!p.try_update_in_place(&mut seg, oid(3), b"x"));
     }
 
@@ -209,6 +230,27 @@ mod tests {
             LocateResult::Found(r) => assert!(r.is_empty()),
             o => panic!("{o:?}"),
         }
+    }
+
+    #[test]
+    fn relocated_objects_get_one_size_class_of_headroom() {
+        let p = HugePool::new(PoolId(2), false);
+        let mut seg = p.relocation_segment(oid(1), 10_000);
+        // (16 + 10,000) × 9/8 = 11,268, rounded up to 64 B.
+        assert_eq!(seg.len(), 11_328);
+        assert_eq!(p.try_append(&mut seg, oid(1), &[1u8; 10_000]), AppendOutcome::Appended);
+        assert!(p.try_update_in_place(&mut seg, oid(1), &[1u8; 11_312]));
+        assert!(!p.try_update_in_place(&mut seg, oid(1), &[1u8; 11_313]));
+    }
+
+    #[test]
+    fn length_word_past_the_segment_is_corrupt() {
+        let p = HugePool::new(PoolId(2), false);
+        let mut seg = p.new_segment(oid(3), 8);
+        p.try_append(&mut seg, oid(3), b"12345678");
+        set_header_word(seg.bytes_mut(), 9);
+        assert!(p.live_objects(seg.bytes()).is_err());
+        assert_eq!(p.locate(&seg.bytes()[..10], oid(3)), LocateResult::Corrupt);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The medium ("packed") object pool: slotted fixed-size segments.
+//! The medium ("packed") object pool: slotted segments.
 //!
 //! "The remaining inverted lists form the third group of objects and were
 //! allocated in a medium object pool. These objects are packed into 8 Kbyte
@@ -11,13 +11,20 @@
 //! the header, a table of `(id, offset, len)` entries grows backward from
 //! the segment end. Entries stay sorted by id because the file layer
 //! allocates ids sequentially, so lookup is a binary search.
+//!
+//! The build path packs objects into segments of the pool's configured
+//! size. An object relocated by an update that outgrew its segment gets a
+//! segment of its own, one size class larger than it needs
+//! ([`crate::pool::relocation_capacity`]); every offset is therefore taken
+//! from the segment's own length, never from the configured size.
 
 use std::ops::Range;
 
+use crate::error::Result;
 use crate::id::{ObjectId, PoolId};
 use crate::pool::{
-    header_count, header_word, set_header_count, set_header_word, write_header, AppendOutcome,
-    LocateResult, Pool, SEGMENT_HEADER_LEN,
+    corrupt, header_count, header_word, relocation_capacity, set_header_count, set_header_word,
+    write_header, AppendOutcome, LocateResult, Pool, SEGMENT_HEADER_LEN,
 };
 use crate::segment::{SegmentImage, SegmentKind};
 
@@ -49,7 +56,7 @@ impl PackedPool {
         PackedPool { id, segment_size }
     }
 
-    /// The fixed segment size of this pool.
+    /// The segment size the build path packs objects into.
     pub fn segment_size(&self) -> usize {
         self.segment_size
     }
@@ -59,14 +66,22 @@ impl PackedPool {
         self.segment_size - SEGMENT_HEADER_LEN - ENTRY_LEN
     }
 
-    fn entry_range(&self, index: usize) -> Range<usize> {
-        let end = self.segment_size - index * ENTRY_LEN;
+    /// A segment of `len` bytes holding no objects yet.
+    fn empty_segment(&self, first: ObjectId, len: usize) -> SegmentImage {
+        let mut bytes = vec![0u8; len];
+        write_header(&mut bytes, SegmentKind::Packed, self.id, 0, SEGMENT_HEADER_LEN as u32, first);
+        Self::set_entries(&mut bytes, 0);
+        SegmentImage::new_dirty(bytes)
+    }
+
+    /// Entry `index` of the table at the end of `seg` (entry 0 last).
+    fn entry_range(seg: &[u8], index: usize) -> Range<usize> {
+        let end = seg.len() - index * ENTRY_LEN;
         end - ENTRY_LEN..end
     }
 
-    fn read_entry(&self, seg: &[u8], index: usize) -> (u32, u32, u32) {
-        let r = self.entry_range(index);
-        let e = &seg[r];
+    fn read_entry(seg: &[u8], index: usize) -> (u32, u32, u32) {
+        let e = &seg[Self::entry_range(seg, index)];
         (
             u32::from_le_bytes(e[0..4].try_into().unwrap()),
             u32::from_le_bytes(e[4..8].try_into().unwrap()),
@@ -74,35 +89,34 @@ impl PackedPool {
         )
     }
 
-    fn write_entry(&self, seg: &mut [u8], index: usize, id: u32, offset: u32, len: u32) {
-        let r = self.entry_range(index);
+    fn write_entry(seg: &mut [u8], index: usize, id: u32, offset: u32, len: u32) {
+        let r = Self::entry_range(seg, index);
         let e = &mut seg[r];
         e[0..4].copy_from_slice(&id.to_le_bytes());
         e[4..8].copy_from_slice(&offset.to_le_bytes());
         e[8..12].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Total number of table entries (live + deleted). Stored as the upper
-    /// 16 bits of nothing — we derive it from the header count plus deleted
-    /// entries is impossible, so we store it in bytes [12..14] of the
-    /// header's reserved area.
-    fn entries(seg: &[u8]) -> usize {
-        u16::from_le_bytes(seg[12..14].try_into().unwrap()) as usize
+    /// Total number of table entries (live + deleted), kept in bytes
+    /// [12..14] of the header's reserved area. `None` when the header is
+    /// truncated or the table would not fit beside it.
+    fn entries(seg: &[u8]) -> Option<usize> {
+        let n = u16::from_le_bytes(seg.get(12..14)?.try_into().unwrap()) as usize;
+        (SEGMENT_HEADER_LEN + n * ENTRY_LEN <= seg.len()).then_some(n)
     }
 
     fn set_entries(seg: &mut [u8], n: usize) {
         seg[12..14].copy_from_slice(&(n as u16).to_le_bytes());
     }
 
-    /// Binary search over the (id-sorted) entry table.
-    fn find_entry(&self, seg: &[u8], id: ObjectId) -> Option<usize> {
-        let n = Self::entries(seg);
+    /// Binary search over the (id-sorted) entry table of `n` entries.
+    fn find_entry(seg: &[u8], n: usize, id: ObjectId) -> Option<usize> {
         let raw = id.raw();
         let mut lo = 0usize;
         let mut hi = n;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let (eid, _, _) = self.read_entry(seg, mid);
+            let (eid, _, _) = Self::read_entry(seg, mid);
             match eid.cmp(&raw) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
@@ -112,10 +126,19 @@ impl PackedPool {
         None
     }
 
-    fn free_space(&self, seg: &[u8]) -> usize {
+    /// Where the payload area ends and the entry table starts; `None`
+    /// when the header's payload end lies outside the space between them.
+    fn layout(seg: &[u8]) -> Option<(usize, usize)> {
+        let n = Self::entries(seg)?;
         let payload_end = header_word(seg) as usize;
-        let table_start = self.segment_size - Self::entries(seg) * ENTRY_LEN;
-        table_start - payload_end
+        let table_start = seg.len() - n * ENTRY_LEN;
+        (SEGMENT_HEADER_LEN..=table_start)
+            .contains(&payload_end)
+            .then_some((payload_end, table_start))
+    }
+
+    fn free_space(seg: &[u8]) -> usize {
+        Self::layout(seg).map_or(0, |(payload_end, table_start)| table_start - payload_end)
     }
 }
 
@@ -133,27 +156,31 @@ impl Pool for PackedPool {
     }
 
     fn new_segment(&self, first: ObjectId, _first_len: usize) -> SegmentImage {
-        let mut bytes = vec![0u8; self.segment_size];
-        write_header(&mut bytes, SegmentKind::Packed, self.id, 0, SEGMENT_HEADER_LEN as u32, first);
-        Self::set_entries(&mut bytes, 0);
-        SegmentImage::new_dirty(bytes)
+        self.empty_segment(first, self.segment_size)
+    }
+
+    /// A relocated object gets a packed segment of its own size class
+    /// instead of a whole build-size segment.
+    fn relocation_segment(&self, id: ObjectId, len: usize) -> SegmentImage {
+        let exact = SEGMENT_HEADER_LEN + ENTRY_LEN + len;
+        self.empty_segment(id, relocation_capacity(exact).min(self.segment_size))
     }
 
     fn try_append(&self, seg: &mut SegmentImage, id: ObjectId, data: &[u8]) -> AppendOutcome {
         assert!(data.len() <= self.max_payload(), "caller must respect max_object_len");
-        if self.free_space(seg.bytes()) < data.len() + ENTRY_LEN {
+        if Self::free_space(seg.bytes()) < data.len() + ENTRY_LEN {
             return AppendOutcome::Full;
         }
-        let n = Self::entries(seg.bytes());
+        let n = Self::entries(seg.bytes()).expect("free space implies a sound table");
         if n > 0 {
-            let (last_id, _, _) = self.read_entry(seg.bytes(), n - 1);
+            let (last_id, _, _) = Self::read_entry(seg.bytes(), n - 1);
             assert!(last_id < id.raw(), "objects must be appended in ascending id order");
         }
         let bytes = seg.bytes_mut();
         let offset = header_word(bytes) as usize;
         bytes[offset..offset + data.len()].copy_from_slice(data);
         set_header_word(bytes, (offset + data.len()) as u32);
-        self.write_entry(bytes, n, id.raw(), offset as u32, data.len() as u32);
+        Self::write_entry(bytes, n, id.raw(), offset as u32, data.len() as u32);
         Self::set_entries(bytes, n + 1);
         let count = header_count(bytes) + 1;
         set_header_count(bytes, count);
@@ -161,10 +188,11 @@ impl Pool for PackedPool {
     }
 
     fn locate(&self, seg: &[u8], id: ObjectId) -> LocateResult {
-        match self.find_entry(seg, id) {
+        let Some(n) = Self::entries(seg) else { return LocateResult::Corrupt };
+        match Self::find_entry(seg, n, id) {
             None => LocateResult::Absent,
             Some(i) => {
-                let (_, offset, len) = self.read_entry(seg, i);
+                let (_, offset, len) = Self::read_entry(seg, i);
                 if len == LEN_DELETED {
                     LocateResult::Deleted
                 } else {
@@ -175,54 +203,65 @@ impl Pool for PackedPool {
     }
 
     fn try_update_in_place(&self, seg: &mut SegmentImage, id: ObjectId, data: &[u8]) -> bool {
-        let Some(i) = self.find_entry(seg.bytes(), id) else { return false };
-        let (eid, offset, len) = self.read_entry(seg.bytes(), i);
-        if len == LEN_DELETED {
+        let Some((payload_end, table_start)) = Self::layout(seg.bytes()) else { return false };
+        let n = (seg.len() - table_start) / ENTRY_LEN;
+        let Some(i) = Self::find_entry(seg.bytes(), n, id) else { return false };
+        let (eid, offset, len) = Self::read_entry(seg.bytes(), i);
+        let (start, end) = (offset as usize, offset as usize + len as usize);
+        if len == LEN_DELETED || start < SEGMENT_HEADER_LEN || end > payload_end {
             return false;
         }
-        if data.len() <= len as usize {
-            // Shrink or same-size: overwrite in place.
-            let bytes = seg.bytes_mut();
-            bytes[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-            self.write_entry(bytes, i, eid, offset, data.len() as u32);
-            return true;
-        }
-        // Grow: relocate within the segment if there is room at the end.
-        if self.free_space(seg.bytes()) >= data.len() {
-            let bytes = seg.bytes_mut();
-            let new_offset = header_word(bytes) as usize;
-            bytes[new_offset..new_offset + data.len()].copy_from_slice(data);
+        // Shrink or same size overwrites in place; so does growth of the
+        // last payload into the free space behind it. Other growth moves
+        // the payload to the free space's start.
+        let is_last = end == payload_end;
+        let new_offset =
+            if data.len() <= len as usize || is_last && table_start - start >= data.len() {
+                start
+            } else if table_start - payload_end >= data.len() {
+                payload_end
+            } else {
+                return false;
+            };
+        let bytes = seg.bytes_mut();
+        bytes[new_offset..new_offset + data.len()].copy_from_slice(data);
+        if new_offset != start || is_last {
             set_header_word(bytes, (new_offset + data.len()) as u32);
-            self.write_entry(bytes, i, eid, new_offset as u32, data.len() as u32);
-            return true;
         }
-        false
+        Self::write_entry(bytes, i, eid, new_offset as u32, data.len() as u32);
+        true
     }
 
     fn delete(&self, seg: &mut SegmentImage, id: ObjectId) -> bool {
-        let Some(i) = self.find_entry(seg.bytes(), id) else { return false };
-        let (eid, offset, len) = self.read_entry(seg.bytes(), i);
+        let Some(n) = Self::entries(seg.bytes()) else { return false };
+        let Some(i) = Self::find_entry(seg.bytes(), n, id) else { return false };
+        let (eid, offset, len) = Self::read_entry(seg.bytes(), i);
         if len == LEN_DELETED {
             return false;
         }
         let bytes = seg.bytes_mut();
-        self.write_entry(bytes, i, eid, offset, LEN_DELETED);
-        let count = header_count(bytes) - 1;
+        Self::write_entry(bytes, i, eid, offset, LEN_DELETED);
+        let count = header_count(bytes).saturating_sub(1);
         set_header_count(bytes, count);
         true
     }
 
-    fn live_objects(&self, seg: &[u8]) -> Vec<(ObjectId, Range<usize>)> {
-        let n = Self::entries(seg);
-        let mut out = Vec::with_capacity(header_count(seg) as usize);
+    fn live_objects(&self, seg: &[u8]) -> Result<Vec<(ObjectId, Range<usize>)>> {
+        let (payload_end, _) =
+            Self::layout(seg).ok_or_else(|| corrupt("packed header or entry table", seg))?;
+        let n = Self::entries(seg).expect("layout checked the table");
+        let mut out = Vec::with_capacity(n);
         for i in 0..n {
-            let (id, offset, len) = self.read_entry(seg, i);
-            if len != LEN_DELETED {
-                let id = ObjectId::from_raw(id).expect("stored ids are valid");
-                out.push((id, offset as usize..(offset + len) as usize));
+            let (id, offset, len) = Self::read_entry(seg, i);
+            if len == LEN_DELETED {
+                continue;
             }
+            let range = offset as usize..offset as usize + len as usize;
+            let id = ObjectId::from_raw(id)
+                .filter(|_| range.start >= SEGMENT_HEADER_LEN && range.end <= payload_end);
+            out.push((id.ok_or_else(|| corrupt(&format!("packed entry {i}"), seg))?, range));
         }
-        out
+        Ok(out)
     }
 }
 
@@ -270,7 +309,7 @@ mod tests {
         }
         // 256 - 16 header = 240; each object costs 20 + 12 = 32 → 7 objects.
         assert_eq!(appended, 7);
-        assert_eq!(p.live_objects(seg.bytes()).len(), 7);
+        assert_eq!(p.live_objects(seg.bytes()).unwrap().len(), 7);
         // The segment stays internally consistent after being full.
         for i in 0..7 {
             match p.locate(seg.bytes(), oid(i)) {
@@ -339,7 +378,7 @@ mod tests {
         assert!(!p.delete(&mut seg, oid(1)));
         assert_eq!(p.locate(seg.bytes(), oid(1)), LocateResult::Deleted);
         assert!(!p.try_update_in_place(&mut seg, oid(1), b"x"), "deleted object not updatable");
-        let live = p.live_objects(seg.bytes());
+        let live = p.live_objects(seg.bytes()).unwrap();
         assert_eq!(live.iter().map(|(id, _)| *id).collect::<Vec<_>>(), vec![oid(0), oid(2)]);
         assert_eq!(header_count(seg.bytes()), 2);
     }
@@ -358,6 +397,56 @@ mod tests {
                 o => panic!("{o:?}"),
             }
         }
+    }
+
+    #[test]
+    fn relocation_segments_are_one_size_class_not_build_size() {
+        let p = PackedPool::new(PoolId(1), 8192);
+        let seg = p.relocation_segment(oid(0), 100);
+        // 16 header + 12 entry + 100 payload = 128, ×9/8 = 144, up to 64 B.
+        assert_eq!(seg.len(), 192);
+        assert_eq!(p.relocation_segment(oid(0), p.max_payload()).len(), 8192);
+        assert_eq!(p.new_segment(oid(0), 100).len(), 8192, "the build path keeps its size");
+    }
+
+    #[test]
+    fn last_object_grows_in_place_within_its_segment() {
+        let p = PackedPool::new(PoolId(1), 8192);
+        let mut seg = p.relocation_segment(oid(4), 100);
+        assert_eq!(p.try_append(&mut seg, oid(4), &[1u8; 100]), AppendOutcome::Appended);
+        let mut grown = vec![1u8; 100];
+        grown.extend_from_slice(&[2u8; 40]);
+        assert!(p.try_update_in_place(&mut seg, oid(4), &grown));
+        assert_eq!(p.locate(seg.bytes(), oid(4)), LocateResult::Found(16..156));
+        assert_eq!(header_word(seg.bytes()), 156);
+        // Past the segment's headroom the object must move.
+        assert!(!p.try_update_in_place(&mut seg, oid(4), &[3u8; 200]));
+        assert_eq!(p.live_objects(seg.bytes()).unwrap(), vec![(oid(4), 16..156)]);
+    }
+
+    #[test]
+    fn corrupt_tables_are_reported_not_panicked_on() {
+        let p = pool();
+        let mut seg = p.new_segment(oid(0), 0);
+        p.try_append(&mut seg, oid(0), b"payload");
+        // An entry count the segment cannot hold.
+        let mut bytes = seg.bytes().to_vec();
+        bytes[12..14].copy_from_slice(&0xFFFFu16.to_le_bytes());
+        assert_eq!(p.locate(&bytes, oid(0)), LocateResult::Corrupt);
+        assert!(p.live_objects(&bytes).is_err());
+        // An entry pointing past the payload area.
+        let mut bytes = seg.bytes().to_vec();
+        let at = bytes.len() - ENTRY_LEN + 4;
+        bytes[at..at + 4].copy_from_slice(&5000u32.to_le_bytes());
+        assert!(p.live_objects(&bytes).is_err());
+        // A payload end past the table.
+        let mut bytes = seg.bytes().to_vec();
+        set_header_word(&mut bytes, 9999);
+        assert!(p.live_objects(&bytes).is_err());
+        let mut image = SegmentImage::from_disk(bytes);
+        assert!(!p.try_update_in_place(&mut image, oid(0), b"x"));
+        // Too short to hold a header at all.
+        assert_eq!(p.locate(&[2, 1, 0], oid(0)), LocateResult::Corrupt);
     }
 
     #[test]

@@ -13,12 +13,17 @@
 //!
 //! * [`crate::SmallPool`] — 16-byte fixed slots, one whole logical segment
 //!   (255 objects) per 4 Kbyte physical segment;
-//! * [`crate::PackedPool`] — medium objects packed into fixed-size (default
-//!   8 Kbyte) slotted segments;
+//! * [`crate::PackedPool`] — medium objects packed into slotted segments of
+//!   a configured build size (default 8 Kbyte);
 //! * [`crate::HugePool`] — one object per physical segment.
+//!
+//! Segments the build path creates have exact sizes. An object an update
+//! moves out of a segment it outgrew gets one size class of headroom
+//! ([`relocation_capacity`], [`Pool::relocation_segment`]).
 
 use std::ops::Range;
 
+use crate::error::{MnemeError, Result};
 use crate::id::{ObjectId, PoolId};
 use crate::segment::{SegmentImage, SegmentKind};
 
@@ -34,6 +39,27 @@ use crate::segment::{SegmentImage, SegmentKind};
 /// [12..16] reserved (zero)
 /// ```
 pub const SEGMENT_HEADER_LEN: usize = 16;
+
+/// The segment length a relocated object gets: `exact` bytes (payload plus
+/// the pool's per-object overhead) raised by one geometric size class,
+/// ×9/8, and rounded up to 64 bytes. Only relocations use it; the build
+/// path allocates exact sizes.
+///
+/// The class was chosen on `update_mix` (scale 0.2, seed 1): from ×9/8 to
+/// ×2 the relocations stay within 0.1% (13,246 vs 13,235; within 0.6% over
+/// a script three times as long), almost all of them a record's first
+/// append after the build, while a larger class only adds padding: store
+/// bytes per text byte 0.99 at ×9/8, 1.02 at ×5/4, 1.22 at ×2, and 10.2
+/// with no headroom (28,538 relocations).
+pub fn relocation_capacity(exact: usize) -> usize {
+    (exact + exact / 8).next_multiple_of(64)
+}
+
+/// [`MnemeError::Corrupt`] for a segment whose header does not fit its
+/// length.
+pub(crate) fn corrupt(what: &str, seg: &[u8]) -> MnemeError {
+    MnemeError::Corrupt(format!("{what} in a {}-byte segment", seg.len()))
+}
 
 /// Result of attempting to place an object into a segment image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +80,9 @@ pub enum LocateResult {
     Deleted,
     /// The object was never stored in this segment.
     Absent,
+    /// The segment's header or object table is inconsistent with its
+    /// length, so the object cannot be located.
+    Corrupt,
 }
 
 /// Management policies for one group of objects.
@@ -73,7 +102,17 @@ pub trait Pool: Send {
 
     /// Creates a fresh segment image ready to receive `first` (whose payload
     /// will be `first_len` bytes — only the single-object pool needs it).
+    /// This is the build path's segment: the pool's own size, no headroom.
     fn new_segment(&self, first: ObjectId, first_len: usize) -> SegmentImage;
+
+    /// Creates a segment for object `id` moved out of its old segment by an
+    /// update that outgrew it: room for `len` payload bytes plus one size
+    /// class of headroom ([`relocation_capacity`]), so the appends that
+    /// follow update it in place. Defaults to [`Pool::new_segment`], for
+    /// pools whose segments all have one size.
+    fn relocation_segment(&self, id: ObjectId, len: usize) -> SegmentImage {
+        self.new_segment(id, len)
+    }
 
     /// Attempts to write `data` as object `id` into `seg`.
     ///
@@ -81,7 +120,10 @@ pub trait Pool: Send {
     /// file layer's sequential id allocation guarantees this.
     fn try_append(&self, seg: &mut SegmentImage, id: ObjectId, data: &[u8]) -> AppendOutcome;
 
-    /// Finds object `id` inside `seg`.
+    /// Finds object `id` inside `seg`. Never panics on corrupt bytes. A
+    /// [`LocateResult::Found`] range comes from the segment header and may
+    /// extend past `seg` when the header is corrupt or `seg` is a prefix of
+    /// the segment; callers bound it by the segment length.
     fn locate(&self, seg: &[u8], id: ObjectId) -> LocateResult;
 
     /// Overwrites object `id` in place if the new payload fits; returns
@@ -91,8 +133,10 @@ pub trait Pool: Send {
     /// Marks object `id` deleted. Returns whether it was present and live.
     fn delete(&self, seg: &mut SegmentImage, id: ObjectId) -> bool;
 
-    /// Lists the live objects in a segment (id and payload range).
-    fn live_objects(&self, seg: &[u8]) -> Vec<(ObjectId, Range<usize>)>;
+    /// Lists the live objects in a segment (id and payload range, inside
+    /// `seg`). A header or object table inconsistent with the segment's
+    /// length is [`MnemeError::Corrupt`].
+    fn live_objects(&self, seg: &[u8]) -> Result<Vec<(ObjectId, Range<usize>)>>;
 
     /// Extracts packed [`crate::GlobalId`] references embedded in an
     /// object's payload, for garbage collection and chunked large objects.

@@ -425,19 +425,21 @@ mod tests {
         rf.update(o1, &[6u8; 69]).unwrap();
         rf.update(o1, &[7u8; 59]).unwrap();
         let o4 = rf.create_object(PoolId(1), &[8u8; 83]).unwrap();
-        rf.update(o1, &[9u8; 104]).unwrap();
+        // Too large for o1's segment even though o1 is its last payload
+        // (which grows in place into the free space behind it): relocates.
+        rf.update(o1, &[9u8; 400]).unwrap();
         rf.update(o3, &[10u8; 35]).unwrap();
         drop(rf);
         // The tombstone really leaked: a plain open (= the checkpoint plus
         // any in-place leaks) sees o1 deleted even though the log replays
-        // it to 104 bytes.
+        // it to 400 bytes.
         let leaked = MnemeFile::open(data.clone()).unwrap();
         assert!(matches!(leaked.get(o1), Err(MnemeError::ObjectDeleted(_))));
         drop(leaked);
 
         let mut recovered = RecoverableFile::recover(data, log).unwrap();
         assert_eq!(recovered.get(o0).unwrap(), vec![1u8; 53]);
-        assert_eq!(recovered.get(o1).unwrap(), vec![9u8; 104]);
+        assert_eq!(recovered.get(o1).unwrap(), vec![9u8; 400]);
         assert!(matches!(recovered.get(o2), Err(MnemeError::ObjectDeleted(_))));
         assert_eq!(recovered.get(o3).unwrap(), vec![10u8; 35]);
         assert_eq!(recovered.get(o4).unwrap(), vec![8u8; 83]);

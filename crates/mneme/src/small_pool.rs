@@ -15,9 +15,10 @@
 
 use std::ops::Range;
 
+use crate::error::Result;
 use crate::id::{ObjectId, PoolId};
 use crate::pool::{
-    header_count, set_header_count, write_header, AppendOutcome, LocateResult, Pool,
+    corrupt, header_count, set_header_count, write_header, AppendOutcome, LocateResult, Pool,
     SEGMENT_HEADER_LEN,
 };
 use crate::segment::{SegmentImage, SegmentKind};
@@ -103,9 +104,13 @@ impl Pool for SmallPool {
     }
 
     fn locate(&self, seg: &[u8], id: ObjectId) -> LocateResult {
+        if seg.len() < SMALL_SEGMENT_LEN {
+            return LocateResult::Corrupt;
+        }
         match Self::slot_len(seg, id.slot()) {
             LEN_UNALLOCATED => LocateResult::Absent,
             LEN_DELETED => LocateResult::Deleted,
+            len if len as usize > MAX_SMALL_OBJECT => LocateResult::Corrupt,
             len => {
                 let r = Self::slot_range(id.slot());
                 LocateResult::Found(r.start + 4..r.start + 4 + len as usize)
@@ -134,26 +139,33 @@ impl Pool for SmallPool {
                 let bytes = seg.bytes_mut();
                 let r = Self::slot_range(slot);
                 bytes[r.start..r.start + 4].copy_from_slice(&LEN_DELETED.to_le_bytes());
-                let count = header_count(bytes) - 1;
+                let count = header_count(bytes).saturating_sub(1);
                 set_header_count(bytes, count);
                 true
             }
         }
     }
 
-    fn live_objects(&self, seg: &[u8]) -> Vec<(ObjectId, Range<usize>)> {
+    fn live_objects(&self, seg: &[u8]) -> Result<Vec<(ObjectId, Range<usize>)>> {
+        if seg.len() < SMALL_SEGMENT_LEN {
+            return Err(corrupt("truncated slot array", seg));
+        }
         let first = ObjectId::from_raw(u32::from_le_bytes(seg[8..12].try_into().unwrap()))
-            .expect("segment header holds a valid first id");
+            .ok_or_else(|| corrupt("invalid first object id", seg))?;
         let lseg = first.segment();
         let mut out = Vec::new();
         for slot in 0..crate::id::SLOTS_PER_SEGMENT as u8 {
             let len = Self::slot_len(seg, slot);
-            if len != LEN_UNALLOCATED && len != LEN_DELETED {
-                let r = Self::slot_range(slot);
-                out.push((ObjectId::new(lseg, slot), r.start + 4..r.start + 4 + len as usize));
+            if len == LEN_UNALLOCATED || len == LEN_DELETED {
+                continue;
             }
+            if len as usize > MAX_SMALL_OBJECT {
+                return Err(corrupt(&format!("slot {slot} length {len}"), seg));
+            }
+            let r = Self::slot_range(slot);
+            out.push((ObjectId::new(lseg, slot), r.start + 4..r.start + 4 + len as usize));
         }
-        out
+        Ok(out)
     }
 }
 
@@ -180,7 +192,7 @@ mod tests {
             assert_eq!(p.try_append(&mut seg, oid(slot as u8), &data), AppendOutcome::Appended);
         }
         assert_eq!(header_count(seg.bytes()), 255);
-        assert_eq!(p.live_objects(seg.bytes()).len(), 255);
+        assert_eq!(p.live_objects(seg.bytes()).unwrap().len(), 255);
     }
 
     #[test]
@@ -238,7 +250,7 @@ mod tests {
         assert!(!p.delete(&mut seg, oid(1)), "double delete is false");
         assert_eq!(p.locate(seg.bytes(), oid(1)), LocateResult::Deleted);
         assert_eq!(header_count(seg.bytes()), 1);
-        let live = p.live_objects(seg.bytes());
+        let live = p.live_objects(seg.bytes()).unwrap();
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].0, oid(2));
     }

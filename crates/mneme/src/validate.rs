@@ -7,6 +7,9 @@
 //! * every referenced segment lies inside the file and none overlap,
 //! * each segment's header parses and its pool/kind match the location
 //!   table's pool binding,
+//! * each segment's object table fits inside it (a header whose entry
+//!   count, payload length or offsets point past the segment is reported,
+//!   never indexed),
 //! * every live object a segment reports is locatable back through the
 //!   tables (no orphans), and every slot the tables map resolves inside its
 //!   segment (no dangling runs).
@@ -91,7 +94,14 @@ impl MnemeFile {
             }
             // Every live object in the segment must resolve back through
             // the location tables to this segment.
-            for (id, _) in self.segment_live_objects(pool_id, addr)? {
+            let live = match self.segment_live_objects(pool_id, addr) {
+                Ok(live) => live,
+                Err(e) => {
+                    report.problems.push(format!("segment at {}+{}: {e}", addr.offset, addr.len));
+                    continue;
+                }
+            };
+            for (id, _) in live {
                 report.live_objects += 1;
                 match self.locate_for_validation(id)? {
                     Some(found) if found == addr => {}
@@ -117,11 +127,16 @@ impl MnemeFile {
             if self.segment_header_kind(addr)? != Some(self.pool_kind(pool_id)?) {
                 continue; // already reported as a header problem above
             }
-            if matches!(self.locate_in_segment(pool_id, addr, id)?, LocateResult::Absent) {
-                report.problems.push(format!(
+            match self.locate_in_segment(pool_id, addr, id)? {
+                LocateResult::Absent => report.problems.push(format!(
                     "tables map {id:?} to {}+{} but the segment has no such object",
                     addr.offset, addr.len
-                ));
+                )),
+                LocateResult::Corrupt => report.problems.push(format!(
+                    "tables map {id:?} to {}+{} but the segment header is corrupt",
+                    addr.offset, addr.len
+                )),
+                LocateResult::Found(_) | LocateResult::Deleted => {}
             }
         }
         Ok(report)
