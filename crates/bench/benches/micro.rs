@@ -197,8 +197,8 @@ fn bench_backends(c: &mut Criterion) {
     });
     group.finish();
 
-    // One fetch per reference vs a single coalescing batch over the same
-    // references (206 spread across the whole file).
+    // One fetch per reference over 206 references spread across the
+    // whole file.
     let refs: Vec<u64> =
         (0..20_000u32).step_by(97).map(|i| dict_m.entry(TermId(i)).store_ref).collect();
     let mut group = c.benchmark_group("record_fetch");
@@ -209,9 +209,6 @@ fn bench_backends(c: &mut Criterion) {
                 black_box(mneme.fetch(r).unwrap());
             }
         });
-    });
-    group.bench_function("fetch_batch", |b| {
-        b.iter(|| black_box(mneme.fetch_batch(&refs)));
     });
     group.finish();
 }
@@ -253,25 +250,9 @@ fn bench_query_eval(c: &mut Criterion) {
             });
         });
     }
-    // Term-at-a-time vs document-at-a-time on the same bag query.
-    let bag: Vec<(f64, String)> = (0..10).map(|i| (1.0, format!("w{i}"))).collect();
-    group.bench_function("daat10", |b| {
-        b.iter(|| {
-            black_box(
-                poir_inquery::query::daat::rank_daat(
-                    &mut store,
-                    &dict,
-                    &docs,
-                    BeliefParams::default(),
-                    &bag,
-                    100,
-                )
-                .unwrap(),
-            )
-        });
-    });
-    // The max-score pruned kernel the service runs, on the same 10-term
-    // bag and on a 37-term one (the longest `serve_long` query).
+    // The document-at-a-time kernel the service runs, on a 10-term bag
+    // (the size of `sum10` above) and on a 37-term one (the longest
+    // `serve_long` query).
     for terms in [10, 37] {
         let bag: Vec<(f64, String)> = (0..terms).map(|i| (1.0, format!("w{i}"))).collect();
         group.bench_function(format!("daat_pruned{terms}"), |b| {

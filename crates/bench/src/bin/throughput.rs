@@ -1,9 +1,9 @@
 //! Query throughput across execution modes on a TIPSTER-shaped collection.
 //!
 //! Runs the same query set four ways on the cached Mneme configuration —
-//! serial, batched prefetch, and parallel on 2 and 4 threads — and writes
-//! `BENCH_throughput.json` with queries-per-second plus the Table 5 I/O
-//! deltas (I = blocks input, A = file accesses per record lookup,
+//! serial, pruned document-at-a-time, and parallel on 2 and 4 threads —
+//! and writes `BENCH_throughput.json` with queries-per-second plus the
+//! Table 5 I/O deltas (I = blocks input, A = file accesses per record lookup,
 //! B = Kbytes read) of each mode relative to serial.
 //!
 //! ```text

@@ -14,7 +14,7 @@
 //! # fn demo(device: &Arc<Device>, index: poir_inquery::Index) -> poir_core::Result<()> {
 //! let mut engine = Engine::builder(device)
 //!     .backend(BackendKind::MnemeCache)
-//!     .exec_mode(ExecMode::BatchedPrefetch)
+//!     .exec_mode(ExecMode::DaatPruned)
 //!     .telemetry(TelemetryOptions::full())
 //!     .build(index)?;
 //! # Ok(())

@@ -40,23 +40,17 @@ use crate::shard::ShardRuntime;
 /// How [`Engine::run_query_set_mode`] schedules record I/O.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One store fetch per leaf term during evaluation (the paper's
-    /// original procedure).
+    /// Term-at-a-time: one store fetch per leaf term during evaluation
+    /// (the paper's original procedure).
     Serial,
-    /// A prefetch pass hands every leaf term's reference to the store
-    /// before evaluation, so the store can coalesce adjacent segments into
-    /// gathered reads and evaluation fetches become buffer hits.
-    BatchedPrefetch,
-    /// Document-at-a-time evaluation (Section 3.1 extension): one cursor
-    /// per term, merged by ascending document id. Structured queries fall
-    /// back to the serial term-at-a-time pipeline.
-    Daat,
-    /// Document-at-a-time with max-score top-k pruning: terms whose belief
-    /// upper bound cannot lift a document into the current top `k` are
-    /// probed lazily, skipping posting blocks via the skip directory and —
-    /// on stores with [`range-read`](poir_inquery::InvertedFileStore::fetch_range)
-    /// support — fetching only the blocks it actually decodes. Returned
-    /// rankings are bit-identical to [`ExecMode::Daat`].
+    /// Document-at-a-time evaluation (Section 3.1 extension) with
+    /// max-score top-k pruning: one cursor per term, merged by ascending
+    /// document id; terms whose belief upper bound cannot lift a document
+    /// into the current top `k` are probed lazily, skipping posting blocks
+    /// via the skip directory and — on stores with
+    /// [`range-read`](poir_inquery::InvertedFileStore::fetch_range)
+    /// support — fetching only the blocks it actually decodes. Structured
+    /// queries fall back to the serial term-at-a-time pipeline.
     DaatPruned,
 }
 
@@ -65,8 +59,6 @@ impl std::fmt::Display for ExecMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             ExecMode::Serial => "serial",
-            ExecMode::BatchedPrefetch => "batched_prefetch",
-            ExecMode::Daat => "daat",
             ExecMode::DaatPruned => "daat_pruned",
         })
     }
@@ -78,8 +70,6 @@ impl FromStr for ExecMode {
     fn from_str(s: &str) -> Result<ExecMode> {
         match s.replace('-', "_").as_str() {
             "serial" => Ok(ExecMode::Serial),
-            "batched_prefetch" | "batched" | "prefetch" => Ok(ExecMode::BatchedPrefetch),
-            "daat" => Ok(ExecMode::Daat),
             "daat_pruned" | "pruned" => Ok(ExecMode::DaatPruned),
             _ => Err(CoreError::UnknownName { kind: "execution mode", value: s.to_string() }),
         }
@@ -642,7 +632,7 @@ impl Engine {
         if daat::flatten_bag(&parsed).is_none() {
             return Err(CoreError::Unsupported("document-at-a-time on structured queries"));
         }
-        Ok(self.execute(&QueryRequest::new(text, k).mode(ExecMode::Daat))?.hits)
+        Ok(self.execute(&QueryRequest::new(text, k).mode(ExecMode::DaatPruned))?.hits)
     }
 
     /// Processes a query set in batch mode, reproducing the paper's
@@ -704,7 +694,7 @@ impl Engine {
     /// concurrent read path).
     ///
     /// Queries are dealt round-robin across threads; each thread drives the
-    /// [`pipeline`] in batched-prefetch mode against
+    /// [`pipeline`] in [`ExecMode::Serial`] against
     /// [`MnemeInvertedFile::shared_view`], whose fetches take `&self` and
     /// synchronize on per-pool buffer locks (so, as on every shared view,
     /// without reservation). Rankings come back in query order. Timing and
@@ -726,7 +716,7 @@ impl Engine {
                 ));
             };
             let driver = &Driver {
-                default_mode: ExecMode::BatchedPrefetch,
+                default_mode: ExecMode::Serial,
                 origin: Instant::now(),
                 retry: direct_retry(),
                 reserve: false,

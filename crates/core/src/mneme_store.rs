@@ -321,14 +321,6 @@ impl InvertedFileStore for MnemeInvertedFile {
         self.shared_view().fetch(store_ref)
     }
 
-    fn fetch_batch(&mut self, store_refs: &[u64]) -> Vec<poir_inquery::Result<RecordBytes>> {
-        self.shared_view().fetch_batch(store_refs)
-    }
-
-    fn prefetch(&mut self, store_refs: &[u64]) {
-        self.shared_view().prefetch(store_refs);
-    }
-
     fn fetch_range(
         &mut self,
         store_ref: u64,
@@ -403,40 +395,6 @@ impl InvertedFileStore for SharedMnemeView<'_> {
         self.recorder.incr(Event::RecordDecoded);
         self.recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
         Ok(to_record_bytes(bytes))
-    }
-
-    /// Resolves references up front and lets the file coalesce
-    /// adjacent-segment runs into single gathered reads. One record lookup
-    /// is counted per reference.
-    fn fetch_batch(&mut self, store_refs: &[u64]) -> Vec<poir_inquery::Result<RecordBytes>> {
-        self.lookups.fetch_add(store_refs.len() as u64, Ordering::Relaxed);
-        self.recorder.add(Event::RecordLookup, store_refs.len() as u64);
-        let ids: Vec<Option<ObjectId>> =
-            store_refs.iter().map(|&r| ObjectId::from_raw(r as u32)).collect();
-        let good: Vec<ObjectId> = ids.iter().copied().flatten().collect();
-        let mut fetched = self.file.get_batch(&good).into_iter();
-        store_refs
-            .iter()
-            .zip(&ids)
-            .map(|(&r, id)| match id {
-                Some(_) => {
-                    let bytes = fetched
-                        .next()
-                        .expect("one result per resolved id")
-                        .map_err(|e| poir_inquery::InqueryError::from(CoreError::from(e)))?;
-                    self.recorder.incr(Event::RecordDecoded);
-                    self.recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
-                    Ok(to_record_bytes(bytes))
-                }
-                None => Err(CoreError::DanglingRef(r).into()),
-            })
-            .collect()
-    }
-
-    fn prefetch(&mut self, store_refs: &[u64]) {
-        let ids: Vec<ObjectId> =
-            store_refs.iter().filter_map(|&r| ObjectId::from_raw(r as u32)).collect();
-        self.file.prefetch(&ids);
     }
 
     /// Opening reads (`start == 0`) count one record lookup exactly like a

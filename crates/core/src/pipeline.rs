@@ -103,19 +103,19 @@ pub(crate) struct Evaluation {
 /// document-at-a-time: the term-at-a-time
 /// [`Evaluator`](poir_inquery::Evaluator) reads document frequencies from
 /// each shard's stored records, which hold shard-local counts — its beliefs
-/// would silently diverge from the unsharded ranking. The DAAT modes score
-/// from the dictionary's global statistics, so they are exact; anything
-/// else is a typed error rather than a wrong answer.
+/// would silently diverge from the unsharded ranking. The DAAT mode scores
+/// from the dictionary's global statistics, so it is exact; anything else
+/// is a typed error rather than a wrong answer.
 pub(crate) fn resolve_mode(
     requested: Option<ExecMode>,
     default: ExecMode,
     shards: usize,
 ) -> Result<ExecMode> {
     match (requested, shards > 1) {
+        (Some(m), false) => Ok(m),
         (None, false) => Ok(default),
-        (None, true) => Ok(ExecMode::DaatPruned),
-        (Some(m @ (ExecMode::Daat | ExecMode::DaatPruned)), _) | (Some(m), false) => Ok(m),
-        (Some(ExecMode::Serial | ExecMode::BatchedPrefetch), true) => {
+        (None | Some(ExecMode::DaatPruned), true) => Ok(ExecMode::DaatPruned),
+        (Some(ExecMode::Serial), true) => {
             Err(CoreError::Unsupported("term-at-a-time execution on a sharded engine"))
         }
     }
@@ -245,12 +245,12 @@ fn run(
     let t = clock.start();
     let parsed = poir_inquery::parse_query(&req.text, d.stop)?;
     clock.stop(Phase::Parse, t);
-    // The document-at-a-time modes bypass the Evaluator on flat
+    // The document-at-a-time mode bypasses the Evaluator on flat
     // bag-of-words queries; structured queries fall back to the
     // term-at-a-time walk of the query tree.
     let bag = match mode {
-        ExecMode::Daat | ExecMode::DaatPruned => daat::flatten_bag(&parsed),
-        ExecMode::Serial | ExecMode::BatchedPrefetch => None,
+        ExecMode::DaatPruned => daat::flatten_bag(&parsed),
+        ExecMode::Serial => None,
     };
     if bag.is_none() && shards.len() > 1 {
         return Err(CoreError::Unsupported("structured queries on a sharded engine"));
@@ -269,8 +269,8 @@ fn run(
         let mut retries = 0u32;
         let ranked = loop {
             let attempt = match &bag {
-                Some(bag) => rank_bag(shard, bag, mode, k, d, &mut clock),
-                None => rank_tree(shard, &parsed, mode, k, d, &mut clock),
+                Some(bag) => rank_bag(shard, bag, k, d, &mut clock),
+                None => rank_tree(shard, &parsed, k, d, &mut clock),
             };
             match attempt {
                 Err(e) if retries < d.retry.max_retries && e.is_transient_fault() => {
@@ -307,7 +307,6 @@ fn run(
 fn rank_bag(
     shard: &mut ShardView<'_>,
     bag: &[(f64, String)],
-    mode: ExecMode,
     k: usize,
     d: &Driver<'_>,
     clock: &mut PhaseClock<'_>,
@@ -323,16 +322,13 @@ fn rank_bag(
         clock.stop(Phase::Reserve, t);
     }
     let t = clock.start();
-    let ranked = if mode == ExecMode::DaatPruned {
+    let ranked =
         daat::rank_daat_pruned(&mut *shard.store, shard.dict, shard.docs, d.params, bag, k).map(
             |(scored, stats)| {
                 record_daat_stats(d.recorder, &stats);
                 scored
             },
-        )
-    } else {
-        daat::rank_daat(&mut *shard.store, shard.dict, shard.docs, d.params, bag, k)
-    };
+        );
     if d.reserve {
         shard.store.release_reservations();
     }
@@ -348,17 +344,11 @@ fn rank_bag(
 fn rank_tree(
     shard: &mut ShardView<'_>,
     parsed: &QueryNode,
-    mode: ExecMode,
     k: usize,
     d: &Driver<'_>,
     clock: &mut PhaseClock<'_>,
 ) -> Result<Vec<ScoredDoc>> {
     let mut ev = Evaluator::new(&mut *shard.store, shard.dict, shard.docs, d.stop, d.params);
-    if mode == ExecMode::BatchedPrefetch {
-        let t = clock.start();
-        ev.prefetch(parsed);
-        clock.stop(Phase::Prefetch, t);
-    }
     if d.reserve {
         let t = clock.start();
         ev.reserve(parsed);

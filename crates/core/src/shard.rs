@@ -157,7 +157,7 @@ impl ShardedEngine {
     /// module docs). One shard behaves exactly as [`Engine::execute`].
     ///
     /// Without a mode override a sharded collection ranks
-    /// [`DaatPruned`](crate::ExecMode::DaatPruned); term-at-a-time modes
+    /// [`DaatPruned`](crate::ExecMode::DaatPruned); term-at-a-time execution
     /// and structured queries are typed errors on more than one shard. The
     /// deadline (measured from entry; shard 0 always completes), the
     /// bounded retry of transient storage faults (the default

@@ -124,9 +124,9 @@ fn service_distinct_requests_do_not_share_entries() {
     // Same text, different k: a different key, so a miss.
     assert!(!service.query(QueryRequest::new("w3 w17", 5)).unwrap().cached);
     // Same text and k, different mode: also a miss.
-    let mut daat = QueryRequest::new("w3 w17", 10);
-    daat.mode = Some(ExecMode::Daat);
-    assert!(!service.query(daat).unwrap().cached);
+    let mut serial = QueryRequest::new("w3 w17", 10);
+    serial.mode = Some(ExecMode::Serial);
+    assert!(!service.query(serial).unwrap().cached);
     // Whitespace-normalized repeat of the first request: a hit.
     assert!(service.query(QueryRequest::new("  w3 w17  ", 10)).unwrap().cached);
     service.shutdown();

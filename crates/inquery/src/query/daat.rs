@@ -7,12 +7,11 @@
 //!
 //! With records fetched through the store abstraction this mode is no
 //! longer cumbersome: all query-term records are opened as streaming
-//! [`PostingsCursor`]s and merged by document id, holding only one decoded
+//! [`BlockCursor`]s and merged by document id, holding only one decoded
 //! posting per term instead of whole accumulator maps. It applies to
 //! bag-of-words queries (`#sum`/`#wsum` over terms), which is what the
 //! paper's natural-language query sets produce.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ use crate::belief::{BeliefParams, CollectionStats, ListIdf};
 use crate::dict::Dictionary;
 use crate::documents::DocTable;
 use crate::error::{InqueryError, Result};
-use crate::postings::{BlockCursor, DocId, PostingsCursor, SkipBlock};
+use crate::postings::{BlockCursor, DocId, SkipBlock};
 use crate::query::ast::QueryNode;
 use crate::query::eval::ScoredDoc;
 use crate::store::{InvertedFileStore, RecordBytes};
@@ -86,106 +85,6 @@ pub fn flatten_bag(query: &QueryNode) -> Option<Vec<(f64, String)>> {
             .collect(),
         _ => None,
     }
-}
-
-/// Ranks a bag-of-words query document-at-a-time. Produces the same
-/// scores as the term-at-a-time evaluator on the same query, up to
-/// floating-point summation order.
-///
-/// Every document in at least one known term's list is scored; with `W`
-/// the sum of all weights (unknown terms included), a document's score is
-/// `(Σ w_i · belief_i + (W − Σ w_i) · d) / W`, both sums running over the
-/// lists that hold the document in ascending list index (query order,
-/// unknown terms skipped), and `d` the default belief. Results are sorted
-/// by score descending, then document id ascending, and cut to `k`.
-pub fn rank_daat<S: InvertedFileStore + ?Sized>(
-    store: &mut S,
-    dict: &Dictionary,
-    docs: &DocTable,
-    params: BeliefParams,
-    terms: &[(f64, String)],
-    k: usize,
-) -> Result<Vec<ScoredDoc>> {
-    let stats = CollectionStats { num_docs: docs.len() as u32, avg_doc_len: docs.avg_len() };
-    // Fetch every term's record bytes (one store lookup per term, as in
-    // term-at-a-time — the access pattern the storage layer sees is the
-    // same; what changes is evaluation memory). Unknown terms contribute
-    // the default belief to every document, exactly as in term-at-a-time,
-    // so their weight stays in the normalisation. Document frequency comes
-    // from the dictionary, not the record header: on an unsharded index
-    // the two are identical, and on a shard (whose records hold only a
-    // document-id slice) the dictionary keeps the collection-wide df the
-    // belief function needs for globally consistent scores.
-    let block_cache = store.decoded_block_cache();
-    let store_epoch = store.store_epoch();
-    let mut weights = Vec::new();
-    let mut buffers = Vec::new();
-    let mut refs = Vec::new();
-    let mut idfs = Vec::new();
-    let mut unknown_weight = 0.0f64;
-    for (w, term) in terms {
-        let Some(id) = dict.lookup(term) else {
-            unknown_weight += *w;
-            continue;
-        };
-        let store_ref = dict.entry(id).store_ref;
-        let bytes = store.fetch(store_ref)?;
-        weights.push(*w);
-        idfs.push(params.list_idf(dict.entry(id).df, &stats));
-        refs.push(store_ref);
-        buffers.push(bytes);
-    }
-    let mut cursors = Vec::with_capacity(buffers.len());
-    // Each list's head posting as (doc, list index, tf): the heap pops a
-    // document's postings in ascending list index.
-    let mut heap: BinaryHeap<Reverse<(u32, usize, u32)>> = BinaryHeap::new();
-    for (i, bytes) in buffers.iter().enumerate() {
-        let (mut cursor, _df, _cf, _max_tf) = PostingsCursor::open(bytes)
-            .ok_or_else(|| InqueryError::BadRecord("cursor open failed".into()))?;
-        if let Some(cache) = &block_cache {
-            cursor.attach_cache(Arc::clone(cache), store_epoch, refs[i]);
-        }
-        if let Some((doc, tf)) = cursor.next_doc_tf() {
-            heap.push(Reverse((doc.0, i, tf)));
-        }
-        cursors.push(cursor);
-    }
-    let total_weight: f64 = weights.iter().sum::<f64>() + unknown_weight;
-    if total_weight == 0.0 || weights.is_empty() {
-        return Ok(Vec::new());
-    }
-    // The belief a term contributes when absent from the document.
-    let default = params.default_belief;
-    // Gather all evidence for one document before moving to the next.
-    let mut results: Vec<ScoredDoc> = Vec::new();
-    while let Some(&Reverse((doc_raw, _, _))) = heap.peek() {
-        let doc = DocId(doc_raw);
-        let len_term = params.len_term(docs.info(doc).len, &stats);
-        let mut weighted_sum = 0.0;
-        let mut matched_weight = 0.0;
-        // Pop every term positioned at this document; a list's next
-        // posting lies past it, so it can be pushed straight back.
-        while let Some(&Reverse((d, i, tf))) = heap.peek() {
-            if d != doc_raw {
-                break;
-            }
-            heap.pop();
-            weighted_sum += weights[i] * params.belief(tf, len_term, idfs[i]);
-            matched_weight += weights[i];
-            if let Some((next, tf)) = cursors[i].next_doc_tf() {
-                heap.push(Reverse((next.0, i, tf)));
-            }
-        }
-        // Terms absent from this document contribute the default belief.
-        let absent_weight: f64 = total_weight - matched_weight;
-        weighted_sum += absent_weight * default;
-        results.push(ScoredDoc { doc, score: weighted_sum / total_weight });
-    }
-    results.sort_unstable_by(|a, b| {
-        b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal).then(a.doc.cmp(&b.doc))
-    });
-    results.truncate(k);
-    Ok(results)
 }
 
 /// One term's record bytes, fetched lazily at skip-block granularity over
@@ -352,13 +251,23 @@ fn advance_list<S: InvertedFileStore + ?Sized>(
 }
 
 /// Ranks a bag-of-words query document-at-a-time with max-score pruning.
+/// Produces the same scores as the term-at-a-time evaluator on the same
+/// query, up to floating-point summation order.
 ///
-/// Produces exactly the same top-`k` documents and bit-identical scores
-/// as [`rank_daat`]: candidate documents are generated only from the
-/// lists whose belief upper bound can still lift a document into the
-/// top k, cursor seeks bypass whole posting blocks via the skip
-/// directory, and every document that survives the bounds is scored in
-/// the same floating-point operation order as the unpruned evaluator.
+/// With `W` the sum of all weights (unknown terms included), a document's
+/// score is `(Σ w_i · belief_i + (W − Σ w_i) · d) / W`, both sums running
+/// over the lists that hold the document in ascending list index (query
+/// order, unknown terms skipped), and `d` the default belief. Every
+/// document in at least one known term's list is a candidate; results are
+/// sorted by score descending, then document id ascending, and cut to `k`.
+///
+/// Pruning decides only which candidates are scored, never a score:
+/// candidate documents are generated only from the lists whose belief
+/// upper bound can still lift a document into the top k, cursor seeks
+/// bypass whole posting blocks via the skip directory, and every document
+/// that survives the bounds is scored in exactly the order above. The
+/// independent reference in `tests/oracle.rs` checks the result bit for
+/// bit.
 pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
     store: &mut S,
     dict: &Dictionary,
@@ -374,9 +283,9 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
     let collection = CollectionStats { num_docs: docs.len() as u32, avg_doc_len: docs.avg_len() };
     let default = params.default_belief;
 
-    // Fetch every known term's record (same store access order as
-    // rank_daat); unknown terms keep their weight in the normalisation.
-    // As in rank_daat, df is the dictionary's collection-wide count (the
+    // Fetch every known term's record in query order (one store lookup
+    // per term, as in term-at-a-time); unknown terms keep their weight in
+    // the normalisation. df is the dictionary's collection-wide count (the
     // record header's df is shard-local on a sharded index); max_tf stays
     // the record header's, which on a shard caps the postings actually in
     // the record — a tighter, still-sound pruning bound.
@@ -574,8 +483,8 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
         }
 
         if alive {
-            // Full evaluation, replicating rank_daat's exact FP order:
-            // contributions in ascending list index, then the absent mass.
+            // Full evaluation in the documented FP order: contributions in
+            // ascending list index, then the absent mass.
             matched.sort_unstable_by_key(|&(i, _, _)| i);
             let mut weighted_sum = 0.0f64;
             for &(_, w, belief) in &matched {
@@ -668,6 +577,16 @@ mod tests {
         (store, dict, idx.documents, stop)
     }
 
+    fn rank(
+        store: &mut MemoryStore,
+        dict: &Dictionary,
+        docs: &DocTable,
+        terms: &[(f64, String)],
+        k: usize,
+    ) -> Vec<ScoredDoc> {
+        rank_daat_pruned(store, dict, docs, BeliefParams::default(), terms, k).unwrap().0
+    }
+
     #[test]
     fn flatten_accepts_bags_and_rejects_structure() {
         let stop = StopWords::default();
@@ -701,9 +620,7 @@ mod tests {
                     Evaluator::new(&mut store, &dict, &docs, &stop, BeliefParams::default());
                 ev.rank(&q, 10).unwrap()
             };
-            let bag = flatten_bag(&q).unwrap();
-            let daat =
-                rank_daat(&mut store, &dict, &docs, BeliefParams::default(), &bag, 10).unwrap();
+            let daat = rank(&mut store, &dict, &docs, &flatten_bag(&q).unwrap(), 10);
             assert_eq!(taat.len(), daat.len(), "query {query:?}");
             for (a, b) in taat.iter().zip(daat.iter()) {
                 assert_eq!(a.doc, b.doc, "query {query:?}");
@@ -715,15 +632,8 @@ mod tests {
     #[test]
     fn daat_handles_unknown_terms() {
         let (mut store, dict, docs, _stop) = corpus();
-        let ranked = rank_daat(
-            &mut store,
-            &dict,
-            &docs,
-            BeliefParams::default(),
-            &[(1.0, "unknown".into()), (1.0, "alpha".into())],
-            10,
-        )
-        .unwrap();
+        let terms = [(1.0, "unknown".into()), (1.0, "alpha".into())];
+        let ranked = rank(&mut store, &dict, &docs, &terms, 10);
         assert!(!ranked.is_empty());
         // Every ranked doc contains alpha.
         for s in &ranked {
@@ -734,55 +644,13 @@ mod tests {
     #[test]
     fn daat_empty_query_returns_nothing() {
         let (mut store, dict, docs, _stop) = corpus();
-        let ranked = rank_daat(&mut store, &dict, &docs, BeliefParams::default(), &[], 10).unwrap();
-        assert!(ranked.is_empty());
+        assert!(rank(&mut store, &dict, &docs, &[], 10).is_empty());
     }
 
     #[test]
     fn daat_respects_k() {
         let (mut store, dict, docs, _stop) = corpus();
-        let ranked = rank_daat(
-            &mut store,
-            &dict,
-            &docs,
-            BeliefParams::default(),
-            &[(1.0, "beta".into())],
-            2,
-        )
-        .unwrap();
-        assert_eq!(ranked.len(), 2);
-    }
-
-    fn assert_bitwise_eq(full: &[ScoredDoc], pruned: &[ScoredDoc], ctx: &str) {
-        assert_eq!(full.len(), pruned.len(), "{ctx}: result count");
-        for (a, b) in full.iter().zip(pruned.iter()) {
-            assert_eq!(a.doc, b.doc, "{ctx}: doc order");
-            assert_eq!(a.score.to_bits(), b.score.to_bits(), "{ctx}: score bits for {:?}", a.doc);
-        }
-    }
-
-    fn pruned_queries() -> Vec<Vec<(f64, String)>> {
-        vec![
-            vec![(1.0, "alpha".into()), (1.0, "beta".into()), (1.0, "delta".into())],
-            vec![(3.0, "alpha".into()), (1.0, "beta".into()), (2.0, "epsilon".into())],
-            vec![(1.0, "alpha".into()), (5.0, "missingterm".into())],
-            vec![(1.0, "beta".into())],
-        ]
-    }
-
-    #[test]
-    fn pruned_matches_unpruned_on_small_corpus() {
-        let (mut store, dict, docs, _stop) = corpus();
-        for k in [1, 2, 3, 10] {
-            for terms in pruned_queries() {
-                let full = rank_daat(&mut store, &dict, &docs, BeliefParams::default(), &terms, k)
-                    .unwrap();
-                let (pruned, _) =
-                    rank_daat_pruned(&mut store, &dict, &docs, BeliefParams::default(), &terms, k)
-                        .unwrap();
-                assert_bitwise_eq(&full, &pruned, &format!("k={k} terms={terms:?}"));
-            }
-        }
+        assert_eq!(rank(&mut store, &dict, &docs, &[(1.0, "beta".into())], 2).len(), 2);
     }
 
     #[test]
@@ -798,9 +666,6 @@ mod tests {
         )
         .unwrap();
         assert!(r.is_empty(), "k = 0 returns nothing");
-        let (r, _) =
-            rank_daat_pruned(&mut store, &dict, &docs, BeliefParams::default(), &[], 10).unwrap();
-        assert!(r.is_empty(), "empty query returns nothing");
     }
 
     #[test]
@@ -814,125 +679,5 @@ mod tests {
         assert_eq!(docs, vec![1, 4, 0, 2], "score desc, then doc asc, truncated to k");
         assert!(merge_topk(vec![], 5).is_empty());
         assert_eq!(merge_topk(vec![vec![s(7, 1.0)], vec![]], 0).len(), 0);
-    }
-
-    /// A corpus big enough that frequent terms cross `BLOCK_SIZE` and get
-    /// the blocked record layout. Returns total encoded record bytes too.
-    fn blocked_corpus<S: InvertedFileStore + RecordSink>(
-        store: &mut S,
-    ) -> (Dictionary, DocTable, usize) {
-        let stop = StopWords::default();
-        let mut b = IndexBuilder::new(stop);
-        for i in 0..1500u32 {
-            let mut text = String::new();
-            for _ in 0..(i % 7) + 1 {
-                text.push_str("common ");
-            }
-            if i % 2 == 0 {
-                text.push_str("half ");
-            }
-            if i % 151 == 0 {
-                text.push_str("rare ");
-            }
-            for w in 0..i % 5 {
-                text.push_str(&format!("filler{w} "));
-            }
-            b.add_document(&format!("D{i:04}"), &text);
-        }
-        let idx = b.finish();
-        let mut dict = idx.dictionary;
-        let mut total = 0usize;
-        for (term, bytes) in idx.records {
-            total += bytes.len();
-            let r = store.sink(bytes);
-            dict.entry_mut(term).store_ref = r;
-        }
-        (dict, idx.documents, total)
-    }
-
-    /// Test-only abstraction so [`blocked_corpus`] can load either store.
-    trait RecordSink {
-        fn sink(&mut self, record: Vec<u8>) -> u64;
-    }
-    impl RecordSink for MemoryStore {
-        fn sink(&mut self, record: Vec<u8>) -> u64 {
-            self.add(record)
-        }
-    }
-
-    #[test]
-    fn pruned_matches_unpruned_on_blocked_records() {
-        let mut store = MemoryStore::new();
-        let (dict, docs, _) = blocked_corpus(&mut store);
-        let mut skipped = 0u64;
-        for k in [1, 3, 10, 50] {
-            for terms in [
-                vec![(1.0f64, "rare".to_string()), (1.0, "common".into())],
-                vec![(1.0, "half".into()), (2.0, "rare".into()), (1.0, "filler3".into())],
-                vec![(1.0, "common".into()), (1.0, "half".into())],
-            ] {
-                let full = rank_daat(&mut store, &dict, &docs, BeliefParams::default(), &terms, k)
-                    .unwrap();
-                let (pruned, stats) =
-                    rank_daat_pruned(&mut store, &dict, &docs, BeliefParams::default(), &terms, k)
-                        .unwrap();
-                assert_bitwise_eq(&full, &pruned, &format!("k={k} terms={terms:?}"));
-                skipped += stats.postings_skipped + stats.blocks_skipped;
-            }
-        }
-        assert!(skipped > 0, "blocked corpus with small k must skip postings");
-    }
-
-    /// A store double that serves byte ranges, counting the calls and the
-    /// bytes handed out, so tests can see the lazy-fetch path at work.
-    struct RangeStore {
-        inner: MemoryStore,
-        range_reads: u64,
-        bytes_served: u64,
-    }
-    impl RecordSink for RangeStore {
-        fn sink(&mut self, record: Vec<u8>) -> u64 {
-            self.inner.add(record)
-        }
-    }
-    impl InvertedFileStore for RangeStore {
-        fn fetch(&mut self, store_ref: u64) -> Result<RecordBytes> {
-            self.inner.fetch(store_ref)
-        }
-        fn fetch_range(&mut self, store_ref: u64, start: u64, len: usize) -> Result<RecordBytes> {
-            self.range_reads += 1;
-            let bytes = self.inner.fetch(store_ref)?;
-            let from = (start.min(bytes.len() as u64)) as usize;
-            let to = from.saturating_add(len).min(bytes.len());
-            self.bytes_served += (to - from) as u64;
-            Ok(bytes.slice(from, to))
-        }
-        fn supports_range_read(&self) -> bool {
-            true
-        }
-        fn record_lookups(&self) -> u64 {
-            self.inner.record_lookups()
-        }
-    }
-
-    #[test]
-    fn pruned_range_reads_fetch_blocks_lazily() {
-        let mut plain = MemoryStore::new();
-        let (dict, docs, _) = blocked_corpus(&mut plain);
-        let mut ranged = RangeStore { inner: MemoryStore::new(), range_reads: 0, bytes_served: 0 };
-        let (rdict, rdocs, total_bytes) = blocked_corpus(&mut ranged);
-        let terms: Vec<(f64, String)> = vec![(2.0, "rare".into()), (1.0, "common".into())];
-        let full = rank_daat(&mut plain, &dict, &docs, BeliefParams::default(), &terms, 5).unwrap();
-        let (pruned, stats) =
-            rank_daat_pruned(&mut ranged, &rdict, &rdocs, BeliefParams::default(), &terms, 5)
-                .unwrap();
-        assert_bitwise_eq(&full, &pruned, "range-read path");
-        assert!(ranged.range_reads >= 2, "prefix plus at least one block read");
-        assert!(stats.blocks_skipped > 0, "seeks must bypass whole blocks");
-        assert!(
-            ranged.bytes_served < total_bytes as u64,
-            "lazy fetch must move fewer bytes than the whole records ({} vs {total_bytes})",
-            ranged.bytes_served
-        );
     }
 }

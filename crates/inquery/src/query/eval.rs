@@ -116,23 +116,6 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
         self.store.release_reservations();
     }
 
-    /// The prefetch pass: hand every leaf term's record reference to the
-    /// store in one batch so it can fault them in with coalesced device
-    /// I/O, turning per-term fetches during evaluation into buffer hits.
-    /// References are deduplicated; prefetching is advisory and counts no
-    /// record lookups.
-    pub fn prefetch(&mut self, query: &QueryNode) {
-        let mut refs: Vec<u64> = query
-            .leaf_terms()
-            .into_iter()
-            .filter_map(|t| self.dict.lookup(t))
-            .map(|id| self.dict.entry(id).store_ref)
-            .collect();
-        refs.sort_unstable();
-        refs.dedup();
-        self.store.prefetch(&refs);
-    }
-
     fn fetch_record(&mut self, term: &str) -> Result<Option<InvertedRecord>> {
         self.dict_lookups += 1;
         let Some(id) = self.dict.lookup(term) else { return Ok(None) };

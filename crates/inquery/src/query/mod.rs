@@ -7,7 +7,7 @@ pub mod explain;
 pub mod parser;
 
 pub use ast::QueryNode;
-pub use daat::{flatten_bag, merge_topk, rank_daat};
+pub use daat::{flatten_bag, merge_topk};
 pub use eval::{rank_score_list, Evaluator, ScoreList, ScoredDoc};
 pub use explain::Explanation;
 pub use parser::parse_query;

@@ -226,7 +226,9 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(')') => break,
                 None => return Err(self.error(&format!("unbalanced parentheses in {op}"))),
-                Some('#') => {
+                // A nested operator or group: `take_word` would stop at it
+                // without consuming anything.
+                Some('#' | '(') => {
                     return Err(self.error(&format!("{op} accepts only plain words")));
                 }
                 Some(_) => {
@@ -375,5 +377,25 @@ mod tests {
     #[test]
     fn operators_with_all_stop_children_error() {
         assert!(parse_query("#and(the of)", &StopWords::default()).is_err());
+    }
+
+    /// A `(` inside `#phrase`/`#uw` stops the word scanner without
+    /// consuming input. Each query parses on its own thread, so a parser
+    /// that loops fails the test instead of hanging it.
+    #[test]
+    fn parenthesis_in_word_list_is_an_error_not_a_hang() {
+        for query in ["#phrase(inverted (file))", "#uw3(alpha beta(", "#sum(#phrase(x ( y))"] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(parse_query(query, &StopWords::default()));
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(2)) {
+                Ok(Err(InqueryError::Parse { message, .. })) => {
+                    assert!(message.contains("only plain words"), "{query:?}: {message:?}");
+                }
+                Ok(other) => panic!("{query:?}: expected a parse error, got {other:?}"),
+                Err(_) => panic!("{query:?}: parse did not return within 2 s"),
+            }
+        }
     }
 }

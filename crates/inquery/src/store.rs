@@ -170,24 +170,20 @@ pub trait InvertedFileStore {
     /// Fetches the encoded inverted record behind `store_ref`.
     fn fetch(&mut self, store_ref: u64) -> Result<RecordBytes>;
 
-    /// Fetches many records at once, one result per reference.
+    /// Fetches many records at once, one result per reference, by looping
+    /// over [`InvertedFileStore::fetch`] (so each reference counts as a
+    /// record lookup).
     ///
-    /// The default implementation loops over [`InvertedFileStore::fetch`]
-    /// (and therefore counts each reference as a record lookup). Backends
-    /// with physical layout knowledge override this to batch their device
-    /// I/O — the Mneme store coalesces runs of adjacent segments into
-    /// single gathered reads.
+    /// No backend overrides it and no evaluation path calls it; it stays
+    /// only because the repo benchmark's store wrapper implements it.
     fn fetch_batch(&mut self, store_refs: &[u64]) -> Vec<Result<RecordBytes>> {
         store_refs.iter().map(|&r| self.fetch(r)).collect()
     }
 
-    /// Advisory pre-evaluation prefetch: fault the records behind the given
-    /// references into whatever cache the backend maintains, so subsequent
-    /// [`InvertedFileStore::fetch`] calls are hits. Unlike
-    /// [`InvertedFileStore::fetch_batch`], prefetching does not count
-    /// record lookups (keeping the "A" statistic's denominator comparable
-    /// across execution modes) and swallows errors — the later fetch
-    /// surfaces them. The default implementation does nothing.
+    /// Advisory prefetch hook; does nothing.
+    ///
+    /// No backend overrides it and no evaluation path calls it; it stays
+    /// only because the repo benchmark's store wrapper implements it.
     fn prefetch(&mut self, _store_refs: &[u64]) {}
 
     /// Fetches part of the record behind `store_ref`: `len` bytes starting

@@ -454,6 +454,29 @@ proptest! {
         let _ = parse_query(&input, &stop); // Ok or Err, never a panic
     }
 
+    /// Queries assembled from the language's own pieces — every operator
+    /// (valid and malformed), words, stop words, numbers and stray
+    /// parentheses — reach the nesting and word-list paths that random
+    /// printable text almost never does. Every parse must return.
+    #[test]
+    fn parser_returns_on_operator_soup(
+        pieces in proptest::collection::vec((0usize..24, any::<bool>()), 0..24),
+    ) {
+        const PIECES: [&str; 24] = [
+            "#and(", "#or(", "#not(", "#sum(", "#max(", "#wsum(", "#phrase(", "#uw3(",
+            "#uw0(", "#uw(", "#bogus(", "#", "(", ")", ")", "alpha", "beta", "the", "of",
+            "2", "0.5", "-1", "1e400", "B-tree's",
+        ];
+        let mut query = String::new();
+        for (i, spaced) in pieces {
+            query.push_str(PIECES[i]);
+            if spaced {
+                query.push(' ');
+            }
+        }
+        let _ = parse_query(&query, &StopWords::default()); // Ok or Err, never a panic
+    }
+
     #[test]
     fn parser_accepts_generated_well_formed_queries(
         words in proptest::collection::vec("[a-z]{3,8}", 1..8),

@@ -25,8 +25,8 @@
 //!
 //! ## Concurrency
 //!
-//! The read path ([`MnemeFile::get`], [`MnemeFile::get_batch`],
-//! [`MnemeFile::prefetch`], [`MnemeFile::reserve`], …) takes `&self`: the
+//! The read path ([`MnemeFile::get`], [`MnemeFile::get_range`],
+//! [`MnemeFile::reserve`], …) takes `&self`: the
 //! location tables sit behind a reader-writer lock (write-acquired only for
 //! lazy bucket loads) and each pool's buffer and building segment behind its
 //! own mutex, so concurrent readers of *different* pools never contend.
@@ -50,7 +50,6 @@
 //! file.flush().unwrap();
 //! ```
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::Duration;
 
@@ -373,22 +372,6 @@ fn resolve_in(meta: &Meta, configs: &[PoolConfig], id: ObjectId) -> Result<(usiz
     let idx =
         configs.iter().position(|c| c.id == pool_id).ok_or(MnemeError::NoSuchPool(pool_id))?;
     Ok((idx, addr))
-}
-
-/// Sorts deduplicated segment addresses and splits them into maximal runs of
-/// physically adjacent segments — each run is one coalesced device read.
-fn coalesce_runs(mut addrs: Vec<SegmentAddr>) -> Vec<Vec<SegmentAddr>> {
-    addrs.sort_unstable();
-    let mut runs: Vec<Vec<SegmentAddr>> = Vec::new();
-    for addr in addrs {
-        match runs.last_mut() {
-            Some(run) if run.last().map(|p| p.offset + p.len as u64) == Some(addr.offset) => {
-                run.push(addr);
-            }
-            _ => runs.push(vec![addr]),
-        }
-    }
-    runs
 }
 
 impl MnemeFile {
@@ -807,180 +790,6 @@ impl MnemeFile {
         Some((addr.len as u64).saturating_sub(SEGMENT_HEADER_LEN as u64))
     }
 
-    /// Reads many objects' payloads with coalesced device I/O.
-    ///
-    /// All ids are resolved up front, grouped by pool, and each pool's
-    /// missing segments are sorted by physical offset and read as maximal
-    /// runs of adjacent segments — one gathered system call per run
-    /// ([`FileHandle::read_run`]) instead of one per segment. Every touched
-    /// segment is admitted to the pool's buffer in a single pass, so later
-    /// [`MnemeFile::get`] calls for the same records are buffer hits.
-    ///
-    /// Buffer-reference accounting mirrors the serial path per *object*
-    /// access: building-segment and buffer-resident services count as hits,
-    /// the first access to each batch-fetched segment counts as a miss, and
-    /// further accesses to that segment within the batch count as hits (the
-    /// batch holds fetched images in working memory even when the buffer
-    /// admits nothing).
-    pub fn get_batch(&self, ids: &[ObjectId]) -> Vec<Result<ObjectBytes>> {
-        let mut located: Vec<Option<(usize, SegmentAddr)>> = Vec::with_capacity(ids.len());
-        let mut out: Vec<Option<Result<ObjectBytes>>> = Vec::with_capacity(ids.len());
-        for &id in ids {
-            match self.resolve(id) {
-                Ok(loc) => {
-                    located.push(Some(loc));
-                    out.push(None);
-                }
-                Err(e) => {
-                    located.push(None);
-                    out.push(Some(Err(e)));
-                }
-            }
-        }
-        for pool_idx in 0..self.pools.len() {
-            let members: Vec<usize> = (0..ids.len())
-                .filter(|&i| located[i].is_some_and(|(p, _)| p == pool_idx))
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let mut ps = self.lock_pool(pool_idx);
-            let ps = &mut *ps;
-            let pool_id = ps.pool.id();
-            // Which distinct segments need disk I/O right now?
-            let mut missing: Vec<SegmentAddr> = members
-                .iter()
-                .map(|&i| located[i].unwrap().1)
-                .filter(|&addr| {
-                    ps.building.as_ref().is_none_or(|(b, _)| *b != addr)
-                        && !ps.buffer.is_resident(addr)
-                })
-                .collect();
-            missing.sort_unstable();
-            missing.dedup();
-            // One gathered read per run of physically adjacent segments. A
-            // failed run falls back to per-segment service below, which
-            // reports precise per-object errors.
-            let mut fetched: BTreeMap<SegmentAddr, SegmentImage> = BTreeMap::new();
-            for run in coalesce_runs(missing) {
-                let lens: Vec<u32> = run.iter().map(|a| a.len).collect();
-                if let Ok(buffers) = self.handle.read_run(run[0].offset, &lens) {
-                    for (addr, bytes) in run.into_iter().zip(buffers) {
-                        fetched.insert(addr, SegmentImage::from_disk(bytes));
-                    }
-                }
-            }
-            let mut touched: std::collections::HashSet<SegmentAddr> =
-                std::collections::HashSet::new();
-            for &i in &members {
-                if out[i].is_some() {
-                    continue;
-                }
-                let id = ids[i];
-                let addr = located[i].unwrap().1;
-                let result = if let Some((baddr, image)) =
-                    ps.building.as_ref().filter(|(b, _)| *b == addr)
-                {
-                    debug_assert_eq!(*baddr, addr);
-                    ps.buffer.record_ref(true);
-                    note_ref(&self.recorder, pool_id, addr, true);
-                    extract_object(ps.pool.as_ref(), image, id)
-                } else if let Some(image) = fetched.get(&addr) {
-                    let hit = !touched.insert(addr);
-                    ps.buffer.record_ref(hit);
-                    note_ref(&self.recorder, pool_id, addr, hit);
-                    extract_object(ps.pool.as_ref(), image, id)
-                } else if ps.buffer.touch(addr) {
-                    ps.buffer.record_ref(true);
-                    note_ref(&self.recorder, pool_id, addr, true);
-                    let image = ps.buffer.probe(addr).expect("resident segment");
-                    extract_object(ps.pool.as_ref(), image, id)
-                } else {
-                    // Run read failed (or raced an eviction): serial path.
-                    with_segment_read(&self.handle, &self.recorder, ps, addr, |pool, seg| {
-                        extract_object(pool, seg, id)
-                    })
-                    .and_then(|r| r)
-                };
-                if let Ok(payload) = &result {
-                    self.recorder.trace(
-                        TraceOp::PoolFetch,
-                        id.raw() as u64,
-                        Some(pool_idx),
-                        payload.len() as u64,
-                        Duration::ZERO,
-                    );
-                }
-                out[i] = Some(result);
-            }
-            // Admit every fetched segment in one pass (ascending offset).
-            for (addr, image) in fetched {
-                let evicted = ps.buffer.insert(addr, image);
-                note_evictions(&self.recorder, pool_id, &evicted);
-                let _ = save_evicted(&self.handle, evicted);
-            }
-        }
-        out.into_iter().map(|r| r.expect("every slot served")).collect()
-    }
-
-    /// Faults the segments holding `ids` into their pools' buffers using the
-    /// same coalesced run reads as [`MnemeFile::get_batch`], without copying
-    /// payloads or recording buffer references.
-    ///
-    /// Prefetching is advisory: pools whose buffer cannot retain anything
-    /// (zero capacity) are skipped, unresolvable ids are ignored, and read
-    /// errors are swallowed — a later [`MnemeFile::get`] surfaces them.
-    /// Returns the number of segments transferred.
-    pub fn prefetch(&self, ids: &[ObjectId]) -> usize {
-        let mut per_pool: Vec<Vec<SegmentAddr>> = vec![Vec::new(); self.pools.len()];
-        for &id in ids {
-            if let Ok((pool_idx, addr)) = self.resolve(id) {
-                per_pool[pool_idx].push(addr);
-            }
-        }
-        let mut transferred = 0;
-        for (pool_idx, mut addrs) in per_pool.into_iter().enumerate() {
-            if addrs.is_empty() {
-                continue;
-            }
-            let mut ps = self.lock_pool(pool_idx);
-            let ps = &mut *ps;
-            if ps.buffer.capacity() == 0 {
-                continue;
-            }
-            addrs.retain(|&addr| {
-                ps.building.as_ref().is_none_or(|(b, _)| *b != addr) && !ps.buffer.is_resident(addr)
-            });
-            addrs.sort_unstable();
-            addrs.dedup();
-            // Never fault in more than the buffer can retain alongside what
-            // is already resident: over-filling would evict segments (this
-            // batch's or hot ones) before they are used, turning one
-            // coalesced read into a read *plus* a re-read at evaluation
-            // time — worse than not prefetching at all.
-            let mut budget = ps.buffer.capacity().saturating_sub(ps.buffer.resident_bytes());
-            addrs.retain(|addr| {
-                let fits = addr.len as usize <= budget;
-                if fits {
-                    budget -= addr.len as usize;
-                }
-                fits
-            });
-            for run in coalesce_runs(addrs) {
-                let lens: Vec<u32> = run.iter().map(|a| a.len).collect();
-                if let Ok(buffers) = self.handle.read_run(run[0].offset, &lens) {
-                    for (addr, bytes) in run.into_iter().zip(buffers) {
-                        transferred += 1;
-                        let evicted = ps.buffer.insert(addr, SegmentImage::from_disk(bytes));
-                        note_evictions(&self.recorder, ps.pool.id(), &evicted);
-                        let _ = save_evicted(&self.handle, evicted);
-                    }
-                }
-            }
-        }
-        transferred
-    }
-
     /// Reads an object's payload length without copying the payload.
     pub fn object_len(&self, id: ObjectId) -> Result<usize> {
         let (pool_idx, addr) = self.resolve(id)?;
@@ -1370,122 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn get_batch_matches_serial_gets() {
-        let mut file = packed_file(512);
-        let payloads: Vec<Vec<u8>> = (0..60u8).map(|i| vec![i; 40 + i as usize]).collect();
-        let ids: Vec<ObjectId> =
-            payloads.iter().map(|p| file.create_object(PoolId(0), p).unwrap()).collect();
-        file.flush().unwrap();
-        file.attach_buffer(PoolId(0), Box::new(LruBuffer::new(16 * 1024))).unwrap();
-        // Batch in a scrambled order, including duplicates.
-        let mut order: Vec<usize> = (0..ids.len()).rev().collect();
-        order.extend([3, 3, 17]);
-        let batch_ids: Vec<ObjectId> = order.iter().map(|&i| ids[i]).collect();
-        let batch = file.get_batch(&batch_ids);
-        for (slot, &i) in order.iter().enumerate() {
-            assert_eq!(batch[slot].as_ref().unwrap(), &payloads[i], "object {i}");
-        }
-        // And serial reads agree.
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(file.get(*id).unwrap(), payloads[i]);
-        }
-    }
-
-    #[test]
-    fn get_batch_coalesces_adjacent_segments_into_one_access() {
-        let mut file = packed_file(512);
-        // Enough objects to span several physically adjacent 512-byte
-        // segments, written contiguously by construction.
-        let payloads: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 100]).collect();
-        let ids: Vec<ObjectId> =
-            payloads.iter().map(|p| file.create_object(PoolId(0), p).unwrap()).collect();
-        file.flush().unwrap();
-        file.attach_buffer(PoolId(0), Box::new(LruBuffer::new(64 * 1024))).unwrap();
-        let device = file.handle().device().clone();
-        device.chill();
-        let before = device.stats().snapshot();
-        let results = file.get_batch(&ids);
-        assert!(results.iter().all(|r| r.is_ok()));
-        let batch_delta = device.stats().snapshot().since(&before);
-        // All data segments are adjacent: the whole batch needs very few
-        // gathered reads (bucket loads were done before the snapshot by
-        // flush's load_all_buckets).
-        assert!(
-            batch_delta.file_accesses <= 2,
-            "expected coalesced runs, got {} accesses",
-            batch_delta.file_accesses
-        );
-        // Serial baseline on a cold twin: one access per segment.
-        let mut serial = packed_file(512);
-        let ids2: Vec<ObjectId> =
-            payloads.iter().map(|p| serial.create_object(PoolId(0), p).unwrap()).collect();
-        serial.flush().unwrap();
-        serial.attach_buffer(PoolId(0), Box::new(LruBuffer::new(64 * 1024))).unwrap();
-        let dev2 = serial.handle().device().clone();
-        dev2.chill();
-        let before2 = dev2.stats().snapshot();
-        for id in &ids2 {
-            serial.get(*id).unwrap();
-        }
-        let serial_delta = dev2.stats().snapshot().since(&before2);
-        assert!(
-            batch_delta.file_accesses < serial_delta.file_accesses,
-            "batch {} accesses should beat serial {}",
-            batch_delta.file_accesses,
-            serial_delta.file_accesses
-        );
-    }
-
-    #[test]
-    fn get_batch_reports_per_object_errors() {
-        let mut file = packed_file(512);
-        let good = file.create_object(PoolId(0), b"alive").unwrap();
-        let doomed = file.create_object(PoolId(0), b"doomed").unwrap();
-        file.delete(doomed).unwrap();
-        let bogus = ObjectId::new(LogicalSegment(7), 9);
-        let results = file.get_batch(&[good, doomed, bogus]);
-        assert_eq!(results[0].as_ref().unwrap(), b"alive");
-        assert!(matches!(results[1], Err(MnemeError::ObjectDeleted(_))));
-        assert!(matches!(results[2], Err(MnemeError::NoSuchObject(_))));
-    }
-
-    #[test]
-    fn prefetch_makes_later_gets_buffer_hits() {
-        let mut file = packed_file(512);
-        let payloads: Vec<Vec<u8>> = (0..30u8).map(|i| vec![i; 90]).collect();
-        let ids: Vec<ObjectId> =
-            payloads.iter().map(|p| file.create_object(PoolId(0), p).unwrap()).collect();
-        file.flush().unwrap();
-        file.attach_buffer(PoolId(0), Box::new(LruBuffer::new(64 * 1024))).unwrap();
-        let transferred = file.prefetch(&ids);
-        assert!(transferred > 0);
-        file.reset_buffer_stats();
-        let device = file.handle().device().clone();
-        let before = device.stats().snapshot();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(file.get(*id).unwrap(), payloads[i]);
-        }
-        let delta = device.stats().snapshot().since(&before);
-        assert_eq!(delta.file_accesses, 0, "prefetched gets must not touch the file");
-        let stats = file.buffer_stats(PoolId(0)).unwrap();
-        assert_eq!(stats.refs, ids.len() as u64);
-        assert_eq!(stats.hits, ids.len() as u64);
-    }
-
-    #[test]
-    fn prefetch_skips_zero_capacity_buffers() {
-        let mut file = packed_file(512);
-        let ids: Vec<ObjectId> =
-            (0..10u8).map(|i| file.create_object(PoolId(0), &[i; 50]).unwrap()).collect();
-        file.flush().unwrap();
-        let device = file.handle().device().clone();
-        let before = device.stats().snapshot();
-        assert_eq!(file.prefetch(&ids), 0);
-        let delta = device.stats().snapshot().since(&before);
-        assert_eq!(delta.file_accesses, 0, "nothing to retain, nothing to read");
-    }
-
-    #[test]
     fn concurrent_shared_gets_see_consistent_data() {
         let mut file = packed_file(512);
         let payloads: Vec<Vec<u8>> = (0..80u8).map(|i| vec![i; 64]).collect();
@@ -1504,11 +1197,6 @@ mod tests {
                         for i in (t..ids.len()).step_by(4) {
                             let got = file.get(ids[i]).unwrap();
                             assert_eq!(got, payloads[i], "thread {t} round {round}");
-                        }
-                        let shard: Vec<ObjectId> =
-                            (t..ids.len()).step_by(4).map(|i| ids[i]).collect();
-                        for (j, r) in file.get_batch(&shard).into_iter().enumerate() {
-                            assert_eq!(r.unwrap(), payloads[t + j * 4]);
                         }
                     }
                 }));

@@ -203,7 +203,6 @@ proptest! {
             let _ = file.get_range(id, 64, 4000);
             let _ = file.object_len(id);
         }
-        let _ = file.get_batch(&ids);
         let _ = file.validate();
     }
 }

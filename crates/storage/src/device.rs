@@ -422,81 +422,6 @@ impl Device {
         result
     }
 
-    fn read_at_vectored(&self, id: FileId, ranges: &[(u64, u32)]) -> Result<Vec<Vec<u8>>> {
-        let block = self.config.block_size as u64;
-        let mut panic_pending = false;
-        let result = self.with_file(id, |inner, store| {
-            if inner.faults.is_some() {
-                let decision = {
-                    let fs = inner.faults.as_mut().expect("checked is_some");
-                    if fs.poisoned {
-                        return Err(StorageError::Poisoned);
-                    }
-                    fs.decide(id, FaultOp::Read)
-                };
-                if let Some(kind) = decision {
-                    let total: u64 = ranges.iter().map(|&(_, len)| len as u64).sum();
-                    inner.note_fault(id, total);
-                    return Err(match kind {
-                        FaultKind::Eio | FaultKind::TornWrite => StorageError::InjectedFault,
-                        // A gathered read delivers all ranges or none; a
-                        // short read on it delivers none.
-                        FaultKind::ShortRead => {
-                            StorageError::ShortRead { requested: total, delivered: 0 }
-                        }
-                        FaultKind::PowerCut => fire_power_cut(inner, id, store.as_mut()),
-                        FaultKind::Panic => {
-                            panic_pending = true;
-                            StorageError::InjectedFault
-                        }
-                    });
-                }
-            }
-            // One gathered system call, like preadv: a single file access
-            // whose byte count is the sum of all requested ranges.
-            let traced = inner.recorder.trace_start();
-            let total: u64 = ranges.iter().map(|&(_, len)| len as u64).sum();
-            self.stats.record_read(total);
-            inner.recorder.incr(Event::FileAccess);
-            inner.recorder.add(Event::BytesRead, total);
-            let mut disk_blocks = 0;
-            let mut touched = 0;
-            for &(offset, len) in ranges {
-                if len == 0 {
-                    continue;
-                }
-                let first = offset / block;
-                let last = (offset + len as u64 - 1) / block;
-                touched += last - first + 1;
-                for b in first..=last {
-                    if !inner.cache.access((id.0, b)) {
-                        disk_blocks += 1;
-                        inner.cache.insert((id.0, b));
-                    }
-                }
-            }
-            if disk_blocks > 0 {
-                self.stats.record_io_inputs(disk_blocks);
-            }
-            inner.recorder.add(Event::OsCacheHit, touched - disk_blocks);
-            inner.recorder.add(Event::OsCacheMiss, disk_blocks);
-            inner.recorder.add(Event::IoInput, disk_blocks);
-            let mut out = Vec::with_capacity(ranges.len());
-            for &(offset, len) in ranges {
-                let mut buf = vec![0u8; len as usize];
-                store.read_at(offset, &mut buf)?;
-                out.push(buf);
-            }
-            let start = ranges.first().map_or(0, |&(offset, _)| offset);
-            inner.recorder.trace_end(traced, TraceOp::DeviceRead, start, None, total);
-            Ok(out)
-        });
-        if panic_pending {
-            panic!("injected panic fault (poir-storage failpoint)");
-        }
-        result
-    }
-
     fn write_at(&self, id: FileId, offset: u64, data: &[u8]) -> Result<()> {
         let block = self.config.block_size as u64;
         let mut panic_pending = false;
@@ -664,22 +589,6 @@ impl FileHandle {
         let mut buf = vec![0u8; len];
         self.read_into(offset, &mut buf)?;
         Ok(buf)
-    }
-
-    /// Reads a contiguous run of `lens.len()` adjacent chunks starting at
-    /// `start` in one system call, returning one buffer per chunk.
-    ///
-    /// This is the coalesced-batch primitive: a run of physically adjacent
-    /// segments is transferred with a single file access instead of one
-    /// access per segment.
-    pub fn read_run(&self, start: u64, lens: &[u32]) -> Result<Vec<Vec<u8>>> {
-        let mut ranges = Vec::with_capacity(lens.len());
-        let mut offset = start;
-        for &len in lens {
-            ranges.push((offset, len));
-            offset += len as u64;
-        }
-        self.device.read_at_vectored(self.id, &ranges)
     }
 
     /// Writes `data` at `offset`, extending the file if needed.
@@ -969,39 +878,6 @@ mod tests {
         dev.clear_fault_plan();
         assert_eq!(dev.fault_stats().eio, 2, "counters accumulate across plans");
         assert_eq!(dev.fault_stats().total_fired(), 2);
-    }
-
-    #[test]
-    fn read_run_counts_one_syscall() {
-        let dev = small_device();
-        let f = dev.create_file();
-        f.write(0, &(0u8..=255).collect::<Vec<_>>()).unwrap();
-        dev.chill();
-        let before = dev.stats().snapshot();
-        let parts = f.read_run(16, &[16, 8, 24]).unwrap();
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0], (16u8..32).collect::<Vec<_>>());
-        assert_eq!(parts[1], (32u8..40).collect::<Vec<_>>());
-        assert_eq!(parts[2], (40u8..64).collect::<Vec<_>>());
-        let d = dev.stats().snapshot().since(&before);
-        assert_eq!(d.file_accesses, 1, "a run is one gathered system call");
-        assert_eq!(d.bytes_read, 48);
-        assert_eq!(d.io_inputs, 3, "bytes 16..64 span blocks 1,2,3");
-        // Re-reading the same run hits the OS cache entirely.
-        let before = dev.stats().snapshot();
-        f.read_run(16, &[16, 8, 24]).unwrap();
-        let d = dev.stats().snapshot().since(&before);
-        assert_eq!((d.file_accesses, d.io_inputs), (1, 0));
-    }
-
-    #[test]
-    fn read_vectored_respects_fault_injection() {
-        let dev = small_device();
-        let f = dev.create_file();
-        f.write(0, &[1u8; 64]).unwrap();
-        dev.inject_read_fault_after(Some(1));
-        assert!(f.read_run(0, &[16, 16]).is_ok());
-        assert!(matches!(f.read_run(0, &[16, 16]), Err(StorageError::InjectedFault)));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::device::FileId;
 /// Which device operation a [`FaultRule`] matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultOp {
-    /// Plain and vectored reads.
+    /// Reads.
     Read,
     /// Writes (appends included).
     Write,

@@ -206,8 +206,6 @@ pub const MAX_POOLS: usize = 4;
 pub enum Phase {
     /// Query text -> belief network parse.
     Parse,
-    /// Batched prefetch of the query's inverted lists.
-    Prefetch,
     /// Buffer reservation (pinning) of the query's lists.
     Reserve,
     /// Belief evaluation: dictionary lookups, record fetches, scoring.
@@ -218,17 +216,16 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (array dimension).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 4;
 
     /// All phases, in pipeline order.
     pub const ALL: [Phase; Phase::COUNT] =
-        [Phase::Parse, Phase::Prefetch, Phase::Reserve, Phase::Evaluate, Phase::Rank];
+        [Phase::Parse, Phase::Reserve, Phase::Evaluate, Phase::Rank];
 
     /// Stable snake_case name used in JSON export.
     pub fn name(self) -> &'static str {
         match self {
             Phase::Parse => "parse",
-            Phase::Prefetch => "prefetch",
             Phase::Reserve => "reserve",
             Phase::Evaluate => "evaluate",
             Phase::Rank => "rank",

@@ -1,7 +1,7 @@
-//! Cross-mode equivalence: serial, batched-prefetch, and parallel query
-//! execution must produce byte-identical rankings, and the coalesced batch
-//! path must not cost more file accesses per record lookup than the serial
-//! Mneme path.
+//! Cross-mode equivalence: serial and parallel query execution must
+//! produce byte-identical rankings, pruned document-at-a-time must agree
+//! with them up to floating-point association order, and its range reads
+//! must cut the I/O of long records.
 
 use poir::collections::{self, generate_queries, SyntheticCollection};
 use poir::core::{BackendKind, Engine, ExecMode};
@@ -50,152 +50,65 @@ fn all_three_modes_rank_identically() {
     let (serial_report, serial_rankings) =
         serial_engine.run_query_set_mode(&queries, 10, ExecMode::Serial).unwrap();
 
-    let mut batched_engine = fresh_engine(&index);
-    let (batched_report, batched_rankings) =
-        batched_engine.run_query_set_mode(&queries, 10, ExecMode::BatchedPrefetch).unwrap();
+    let mut pruned_engine = fresh_engine(&index);
+    let (pruned_report, pruned_rankings) =
+        pruned_engine.run_query_set_mode(&queries, 10, ExecMode::DaatPruned).unwrap();
 
     let mut parallel_engine = fresh_engine(&index);
     let parallel = parallel_engine.run_query_set_parallel(&queries, 10, 4).unwrap();
 
     assert!(!serial_rankings.is_empty());
     assert!(serial_rankings.iter().any(|r| !r.is_empty()), "queries must match documents");
-    assert_eq!(
-        keyed(&serial_rankings),
-        keyed(&batched_rankings),
-        "batched prefetch changed a ranking"
-    );
+    // Parallel runs serial per thread: byte-identical.
     assert_eq!(
         keyed(&serial_rankings),
         keyed(&parallel.rankings),
         "parallel execution changed a ranking"
     );
+    // Pruned DAAT: the same documents in the same order.
+    assert_agrees_with_taat(&serial_rankings, &pruned_rankings, "daat_pruned");
 
     // Identical work: every mode performed the same record lookups.
-    assert_eq!(serial_report.record_lookups, batched_report.record_lookups);
+    assert_eq!(serial_report.record_lookups, pruned_report.record_lookups);
     assert_eq!(serial_report.record_lookups, parallel.report.record_lookups);
 }
 
-#[test]
-fn batched_prefetch_does_not_increase_accesses_per_lookup() {
-    let (index, queries) = cacm_fixture();
-
-    let mut serial_engine = fresh_engine(&index);
-    let (serial_report, _) =
-        serial_engine.run_query_set_mode(&queries, 10, ExecMode::Serial).unwrap();
-
-    let mut batched_engine = fresh_engine(&index);
-    let (batched_report, _) =
-        batched_engine.run_query_set_mode(&queries, 10, ExecMode::BatchedPrefetch).unwrap();
-
-    assert!(serial_report.record_lookups > 0);
-    assert!(
-        batched_report.accesses_per_lookup() <= serial_report.accesses_per_lookup(),
-        "coalesced batch I/O must not raise the A statistic: batched {} > serial {}",
-        batched_report.accesses_per_lookup(),
-        serial_report.accesses_per_lookup()
-    );
-    // A query's scattered terms rarely sit in adjacent segments, so the
-    // batched run may only tie on accesses — but it must never read more.
-    assert!(
-        batched_report.io.file_accesses <= serial_report.io.file_accesses,
-        "batched run issued more read system calls ({} vs {})",
-        batched_report.io.file_accesses,
-        serial_report.io.file_accesses
-    );
-    assert!(
-        batched_report.io.io_inputs <= serial_report.io.io_inputs,
-        "batched run transferred more blocks ({} vs {})",
-        batched_report.io.io_inputs,
-        serial_report.io.io_inputs
-    );
+/// Asserts `pruned` ranks the same documents as the term-at-a-time
+/// `taat`, with scores equal up to floating-point association order.
+fn assert_agrees_with_taat(
+    taat: &[Vec<poir::core::RankedResult>],
+    pruned: &[Vec<poir::core::RankedResult>],
+    context: &str,
+) {
+    assert_eq!(taat.len(), pruned.len(), "{context}");
+    for (qi, (a, b)) in taat.iter().zip(pruned.iter()).enumerate() {
+        assert_eq!(a.len(), b.len(), "{context}: query {qi}");
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.doc, y.doc, "{context}: query {qi}");
+            assert!(
+                (x.score - y.score).abs() < 1e-9,
+                "{context}: query {qi}: {} vs {}",
+                x.score,
+                y.score
+            );
+        }
+    }
 }
 
 #[test]
-fn store_level_batch_fetch_strictly_coalesces() {
-    use poir::core::{MnemeInvertedFile, MnemeOptions};
-    use poir::inquery::InvertedFileStore;
-
-    let (index, _) = cacm_fixture();
-    let build_store = |dev: &std::sync::Arc<Device>| {
-        let mut dict = index.dictionary.clone();
-        let mut store = MnemeInvertedFile::build(
-            dev.create_file(),
-            MnemeOptions::default(),
-            &index.records,
-            &mut dict,
-        )
-        .unwrap();
-        store.attach_buffers(poir::core::paper_heuristic(store.largest_record(), 8192)).unwrap();
-        let refs: Vec<u64> = index.records.iter().map(|(t, _)| dict.entry(*t).store_ref).collect();
-        (store, refs)
-    };
-
-    // Serial: fetch every record one at a time on a cold OS cache.
-    let dev = device();
-    let (mut serial_store, refs) = build_store(&dev);
-    dev.chill();
-    let before = dev.stats().snapshot();
-    for &r in &refs {
-        serial_store.fetch(r).unwrap();
-    }
-    let serial = dev.stats().snapshot().since(&before);
-
-    // Batched: one fetch_batch over the same references.
-    let dev = device();
-    let (mut batch_store, refs2) = build_store(&dev);
-    assert_eq!(refs, refs2);
-    dev.chill();
-    let before = dev.stats().snapshot();
-    let results = batch_store.fetch_batch(&refs2);
-    let batched = dev.stats().snapshot().since(&before);
-
-    for (r, (_, bytes)) in results.iter().zip(&index.records) {
-        assert_eq!(r.as_ref().unwrap(), bytes);
-    }
-    assert_eq!(batch_store.record_lookups(), refs.len() as u64);
-    // Records were created back-to-back, so their segments are physically
-    // adjacent and whole runs collapse into single gathered reads.
-    assert!(
-        batched.file_accesses < serial.file_accesses,
-        "batch fetch should strictly coalesce ({} vs {} accesses)",
-        batched.file_accesses,
-        serial.file_accesses
-    );
-}
-
-#[test]
-fn pruned_daat_matches_daat_and_taat_on_every_backend() {
+fn pruned_daat_matches_taat_on_every_backend() {
     let (index, queries) = cacm_fixture();
     for backend in BackendKind::all() {
         let build = || Engine::builder(&device()).backend(backend).build(index.clone()).unwrap();
 
         let (_, taat) = build().run_query_set_mode(&queries, 10, ExecMode::Serial).unwrap();
-        let (_, daat) = build().run_query_set_mode(&queries, 10, ExecMode::Daat).unwrap();
         let (_, pruned) = build().run_query_set_mode(&queries, 10, ExecMode::DaatPruned).unwrap();
 
-        // Pruning must be invisible in the results: bit-identical scores.
-        assert_eq!(
-            keyed(&daat),
-            keyed(&pruned),
-            "{}: pruned DAAT changed a ranking",
-            backend.label()
-        );
-        // And document-at-a-time agrees with term-at-a-time up to
+        // Bit-identity of the pruned scores is checked against the
+        // independent oracle (poir-inquery's tests/oracle.rs); here
+        // document-at-a-time agrees with term-at-a-time up to
         // floating-point association order.
-        assert_eq!(taat.len(), daat.len());
-        for (qi, (a, b)) in taat.iter().zip(daat.iter()).enumerate() {
-            assert_eq!(a.len(), b.len(), "{}: query {qi}", backend.label());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.doc, y.doc, "{}: query {qi}", backend.label());
-                assert!(
-                    (x.score - y.score).abs() < 1e-9,
-                    "{}: query {qi}: {} vs {}",
-                    backend.label(),
-                    x.score,
-                    y.score
-                );
-            }
-        }
+        assert_agrees_with_taat(&taat, &pruned, backend.label());
     }
 }
 
@@ -233,19 +146,19 @@ fn pruned_daat_range_reads_reduce_io_on_long_records() {
         engine.run_query_set_mode(&queries, 5, mode).unwrap()
     };
 
-    let (daat_report, daat_rankings) = run(ExecMode::Daat);
+    let (serial_report, serial_rankings) = run(ExecMode::Serial);
     let (pruned_report, pruned_rankings) = run(ExecMode::DaatPruned);
 
     assert_eq!(pruned_rankings[0].len(), 5);
-    assert_eq!(keyed(&daat_rankings), keyed(&pruned_rankings));
+    assert_agrees_with_taat(&serial_rankings, &pruned_rankings, "long record");
 
     let metrics = pruned_report.metrics.as_ref().unwrap();
     assert!(metrics.delta.get(Event::PostingsSkipped) > 0, "no postings skipped");
     assert!(metrics.delta.get(Event::BlocksSkipped) > 0, "no blocks skipped");
     assert!(metrics.delta.get(Event::RangeRead) > 0, "huge-pool range reads not used");
-    // Unpruned DAAT fetches whole records (and records no pruning stats).
-    let daat_metrics = daat_report.metrics.as_ref().unwrap();
-    assert_eq!(daat_metrics.delta.get(Event::RangeRead), 0);
+    // Term-at-a-time fetches whole records.
+    let serial_metrics = serial_report.metrics.as_ref().unwrap();
+    assert_eq!(serial_metrics.delta.get(Event::RangeRead), 0);
     // "common" has df 30 000; pruning must not have consumed it all.
     assert!(
         metrics.delta.get(Event::PostingsDecoded) < 30_000,
@@ -255,12 +168,12 @@ fn pruned_daat_range_reads_reduce_io_on_long_records() {
     // The point of the range-read path: I (I/O inputs) drops because only
     // the touched physical segments of the long record are read.
     assert!(
-        pruned_report.io.io_inputs < daat_report.io.io_inputs,
-        "range reads did not reduce I/O inputs: pruned {} vs daat {}",
+        pruned_report.io.io_inputs < serial_report.io.io_inputs,
+        "range reads did not reduce I/O inputs: pruned {} vs serial {}",
         pruned_report.io.io_inputs,
-        daat_report.io.io_inputs
+        serial_report.io.io_inputs
     );
-    assert!(pruned_report.io.bytes_read < daat_report.io.bytes_read);
+    assert!(pruned_report.io.bytes_read < serial_report.io.bytes_read);
 }
 
 #[test]

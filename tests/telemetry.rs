@@ -69,12 +69,10 @@ fn assert_metrics_match(report: &QuerySetReport, context: &str) -> MetricsReport
 }
 
 #[test]
-fn serial_and_batched_counters_match_iostats_on_every_backend() {
+fn both_modes_counters_match_iostats_on_every_backend() {
     let (index, queries) = cacm_fixture();
     for backend in BackendKind::all() {
-        for mode in
-            [ExecMode::Serial, ExecMode::BatchedPrefetch, ExecMode::Daat, ExecMode::DaatPruned]
-        {
+        for mode in [ExecMode::Serial, ExecMode::DaatPruned] {
             let mut engine = telemetry_engine(&index, backend);
             let (report, rankings) = engine.run_query_set_mode(&queries, 20, mode).unwrap();
             let context = format!("{backend} / {mode}");
@@ -218,11 +216,14 @@ fn backend_and_mode_names_round_trip() {
         let s = backend.to_string();
         assert_eq!(s.parse::<BackendKind>().unwrap(), backend, "{s}");
     }
-    for mode in [ExecMode::Serial, ExecMode::BatchedPrefetch, ExecMode::Daat, ExecMode::DaatPruned]
-    {
+    for mode in [ExecMode::Serial, ExecMode::DaatPruned] {
         let s = mode.to_string();
         assert_eq!(s.parse::<ExecMode>().unwrap(), mode, "{s}");
     }
     assert!("warp_drive".parse::<BackendKind>().is_err());
     assert!("quantum".parse::<ExecMode>().is_err());
+    // The deleted modes' names are gone, not aliased.
+    for gone in ["daat", "batched_prefetch"] {
+        assert!(gone.parse::<ExecMode>().is_err(), "{gone}");
+    }
 }
