@@ -31,7 +31,7 @@ impl BufferSizes {
 
     /// Total buffer memory.
     pub fn total(&self) -> usize {
-        self.small + self.medium + self.large
+        self.small.saturating_add(self.medium).saturating_add(self.large)
     }
 }
 
@@ -42,9 +42,10 @@ pub const MEDIUM_ACCESS_RATIO: f64 = 0.09;
 pub const SEGMENTS_HELD: usize = 3;
 
 /// Computes Table 2's buffer sizes from the collection's largest inverted
-/// list and the medium pool's physical segment size.
+/// list and the medium pool's physical segment size. A list too large to
+/// triple in a `usize` gets a large buffer of `usize::MAX`: unbounded.
 pub fn paper_heuristic(largest_list_bytes: usize, medium_segment_bytes: usize) -> BufferSizes {
-    let large = 3 * largest_list_bytes;
+    let large = largest_list_bytes.saturating_mul(3);
     let nine_percent = (large as f64 * MEDIUM_ACCESS_RATIO) as usize;
     let medium = if nine_percent < medium_segment_bytes {
         SEGMENTS_HELD * medium_segment_bytes
@@ -84,6 +85,14 @@ mod tests {
         let largest = (8192.0f64 / 0.09 / 3.0).ceil() as usize;
         let sizes = paper_heuristic(largest, 8192);
         assert!(sizes.medium >= 8192);
+    }
+
+    #[test]
+    fn an_untriplable_largest_list_saturates() {
+        let sizes = paper_heuristic(usize::MAX / 2, 8192);
+        assert_eq!(sizes.large, usize::MAX);
+        assert!(sizes.medium >= 8192);
+        assert_eq!(sizes.total(), usize::MAX);
     }
 
     #[test]

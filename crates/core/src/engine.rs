@@ -900,14 +900,22 @@ impl Engine {
             3 => BackendKind::MnemeCache,
             _ => return Err(CoreError::CorruptMetadata("unknown backend tag")),
         };
-        let largest = u64::from_le_bytes(bytes[5..13].try_into().unwrap()) as usize;
-        let dict_len = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
-        if bytes.len() < 21 + dict_len {
-            return Err(CoreError::CorruptMetadata("truncated dictionary"));
-        }
-        let dict = Dictionary::from_bytes(&bytes[21..21 + dict_len])
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        // Both words are untrusted: a record cannot outgrow the file that
+        // holds it, and the dictionary cannot outgrow this one.
+        let store_len = store_handle.len()?;
+        let largest = usize::try_from(word(5))
+            .ok()
+            .filter(|&largest| largest as u64 <= store_len)
+            .ok_or(CoreError::CorruptMetadata("largest record exceeds the store file"))?;
+        let dict_end = usize::try_from(word(13))
+            .ok()
+            .and_then(|len| len.checked_add(21))
+            .filter(|&end| end <= bytes.len())
+            .ok_or(CoreError::CorruptMetadata("truncated dictionary"))?;
+        let dict = Dictionary::from_bytes(&bytes[21..dict_end])
             .ok_or(CoreError::CorruptMetadata("dictionary failed to decode"))?;
-        let docs = DocTable::from_bytes(&bytes[21 + dict_len..])
+        let docs = DocTable::from_bytes(&bytes[dict_end..])
             .ok_or(CoreError::CorruptMetadata("document table failed to decode"))?;
         let store = match backend {
             BackendKind::BTree => StoreImpl::BTree(BTreeInvertedFile::open(

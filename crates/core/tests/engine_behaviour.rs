@@ -460,3 +460,42 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn forged_metadata_is_refused_without_panicking() {
+    let dev = device();
+    let mut engine =
+        Engine::builder(&dev).backend(BackendKind::MnemeCache).build(build_index(40)).unwrap();
+    let meta = dev.create_file();
+    engine.save(&meta).unwrap();
+    let saved = meta.read(0, meta.len().unwrap() as usize).unwrap();
+    let store_len = engine.store_handle().len().unwrap();
+    // The header: "IQME", the backend tag, the largest record's length,
+    // then the dictionary's length.
+    let forge = |at: usize, word: u64| {
+        let mut bytes = saved.clone();
+        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        bytes
+    };
+    let mut cases = vec![
+        forge(5, u64::MAX),
+        forge(5, store_len + 1),
+        forge(13, u64::MAX),
+        forge(13, u64::MAX - 20), // 21 + length wraps to 0
+        forge(13, saved.len() as u64 - 20),
+    ];
+    cases.extend((0..saved.len()).step_by(7).map(|cut| saved[..cut].to_vec()));
+    for bytes in cases {
+        let forged = dev.create_file();
+        forged.write(0, &bytes).unwrap();
+        let opened = Engine::builder(&dev).open(engine.store_handle().clone(), &forged);
+        assert!(
+            matches!(opened, Err(poir_core::CoreError::CorruptMetadata(_))),
+            "{} bytes opened as {:?}",
+            bytes.len(),
+            opened.err()
+        );
+    }
+    // The unforged metadata still opens.
+    Engine::builder(&dev).open(engine.store_handle().clone(), &meta).unwrap();
+}

@@ -171,67 +171,58 @@ impl InvertedRecord {
     }
 
     /// Decodes a record written by [`InvertedRecord::encode`] (either
-    /// format version).
+    /// format version): [`InvertedRecord::decode_each`] collected into
+    /// [`Posting`]s.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let (df, cf, max_tf, _) = parse_header(bytes, &mut pos)?;
-        // Untrusted input: a posting costs at least 3 bytes in v1 and at
-        // least one position byte in v2, so a declared df larger than the
-        // record is corrupt — and pre-allocation must never trust the raw
-        // value.
-        if (df as usize) > bytes.len() {
-            return None;
-        }
-        if df > BLOCK_SIZE {
-            // Only v2 writes blocked records; the cursor behind
-            // `decode_packed` rejects a long list under a v1 header.
-            return Self::decode_packed(bytes, df, cf, max_tf);
-        }
-        let mut postings = Vec::with_capacity(df as usize);
-        let mut prev_doc = 0u32;
-        for i in 0..df {
-            let gap = decode_vbyte(bytes, &mut pos)?;
-            let doc = if i == 0 { gap } else { prev_doc.checked_add(gap)? };
-            prev_doc = doc;
-            let tf = decode_vbyte(bytes, &mut pos)?;
-            if (tf as usize) > bytes.len() {
-                return None;
-            }
-            let mut positions = Vec::with_capacity(tf as usize);
-            let mut prev_pos = 0u32;
-            for j in 0..tf {
-                let pgap = decode_vbyte(bytes, &mut pos)?;
-                let p = if j == 0 { pgap } else { prev_pos.checked_add(pgap)? };
-                prev_pos = p;
-                positions.push(p);
-            }
-            postings.push(Posting { doc: DocId(doc), tf, positions });
-        }
-        if pos != bytes.len() {
-            return None; // trailing garbage
-        }
+        let mut postings = Vec::new();
+        let mut scratch = Vec::new();
+        let (_, cf, max_tf) = Self::decode_each(bytes, &mut scratch, |doc, tf, positions| {
+            postings.push(Posting { doc, tf, positions: positions.to_vec() });
+        })?;
         Some(InvertedRecord { cf, max_tf, postings })
     }
 
-    /// Decodes a v2 blocked record by streaming a [`BlockCursor`] over it,
-    /// with whole-record strictness the cursor alone does not enforce: the
-    /// directory must span exactly the record, and every block's position
-    /// stream must end exactly at its block boundary.
-    fn decode_packed(bytes: &[u8], df: u32, cf: u64, max_tf: u32) -> Option<Self> {
-        let (mut cur, ..) = BlockCursor::open(bytes)?;
-        let last = cur.blocks.last()?;
-        if last.offset.checked_add(last.len)? != bytes.len() {
+    /// Streams a record's postings to `f` as `(doc, tf, positions)`, in
+    /// document order, decoding every posting's positions into the one
+    /// reused `positions` buffer, and returns the header `(df, cf, max_tf)`
+    /// once the whole record has checked out. The only record validation:
+    /// [`InvertedRecord::decode`] is a wrapper over it.
+    ///
+    /// Untrusted input is refused with `None`: a `df` larger than the
+    /// record, position gaps that overflow a `u32`, and a `tf` larger than
+    /// the record; in v1, trailing bytes; in v2, a skip directory that does
+    /// not span exactly the record and a position stream that does not end
+    /// exactly at its block boundary. `f` may have seen a prefix of the
+    /// postings by the time a violation shows.
+    pub fn decode_each(
+        bytes: &[u8],
+        positions: &mut Vec<u32>,
+        mut f: impl FnMut(DocId, u32, &[u32]),
+    ) -> Option<(u32, u64, u32)> {
+        let (mut cur, df, cf, max_tf) = BlockCursor::open(bytes)?;
+        // A posting costs at least 3 bytes in v1 and at least one position
+        // byte in v2, so a declared df larger than the record is corrupt.
+        if (df as usize) > bytes.len() {
             return None;
         }
-        let mut postings = Vec::with_capacity(df as usize);
+        if cur.packed {
+            let last = cur.blocks.last()?;
+            if last.offset.checked_add(last.len)? != bytes.len() {
+                return None;
+            }
+        }
         for i in 0..df {
-            postings.push(cur.next(bytes)?);
+            let (doc, tf) = cur.next_into(bytes, positions)?;
+            f(doc, tf, positions);
             let block_boundary = (i + 1) % BLOCK_SIZE == 0 || i + 1 == df;
-            if block_boundary && cur.pos_ptr != cur.pos_end {
+            if cur.packed && block_boundary && cur.pos_ptr != cur.pos_end {
                 return None; // slack bytes inside the block's position region
             }
         }
-        Some(InvertedRecord { cf, max_tf, postings })
+        if !cur.packed && cur.pos != bytes.len() {
+            return None; // trailing garbage
+        }
+        Some((df, cf, max_tf))
     }
 
     /// Decodes only the `(df, cf, max_tf)` header (either format version).
@@ -1009,6 +1000,16 @@ impl BlockCursor {
 
     /// Decodes the next posting, or `None` at the end.
     pub fn next(&mut self, bytes: &[u8]) -> Option<Posting> {
+        let mut positions = Vec::new();
+        let (doc, tf) = self.next_into(bytes, &mut positions)?;
+        Some(Posting { doc, tf, positions })
+    }
+
+    /// Decodes the next posting's doc and tf, replacing the contents of
+    /// `positions` with its ascending word positions, or `None` at the end.
+    /// A caller that reuses one buffer allocates nothing per posting.
+    pub fn next_into(&mut self, bytes: &[u8], positions: &mut Vec<u32>) -> Option<(DocId, u32)> {
+        positions.clear();
         if self.packed {
             let (doc, tf, i) = self.packed_doc_tf(bytes)?;
             if (tf as usize) > bytes.len() {
@@ -1023,7 +1024,7 @@ impl BlockCursor {
                 self.pos_read += 1;
             }
             let start = self.pos_ptr;
-            let mut positions = Vec::with_capacity(tf as usize);
+            positions.reserve(tf as usize);
             let mut prev = 0u32;
             for j in 0..tf {
                 let pgap = decode_vbyte(bytes, &mut self.pos_ptr)?;
@@ -1036,11 +1037,11 @@ impl BlockCursor {
             self.pos_read = i + 1;
             self.bytes_decoded += (self.pos_ptr - start) as u64;
             self.remaining -= 1;
-            return Some(Posting { doc, tf, positions });
+            return Some((doc, tf));
         }
         let start = self.pos;
         let (doc, tf) = self.next_doc_header(bytes)?;
-        let mut positions = Vec::with_capacity(tf as usize);
+        positions.reserve(tf as usize);
         let mut prev = 0u32;
         for j in 0..tf {
             let pgap = decode_vbyte(bytes, &mut self.pos)?;
@@ -1049,7 +1050,7 @@ impl BlockCursor {
         }
         self.bytes_decoded += (self.pos - start) as u64;
         self.remaining -= 1;
-        Some(Posting { doc, tf, positions })
+        Some((doc, tf))
     }
 
     /// Decodes the next posting's doc and tf, skipping its positions

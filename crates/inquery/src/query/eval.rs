@@ -10,16 +10,34 @@
 //! document. Operator nodes merge their children's score lists with the
 //! belief combinators in [`crate::belief`]; leaf nodes fetch one complete
 //! inverted record through the pluggable [`InvertedFileStore`].
+//!
+//! The evaluator's host cost is in three places, and each is kept lean:
+//!
+//! * **Streaming decode.** A leaf never materialises [`Posting`]s: it
+//!   streams the record through [`InvertedRecord::decode_each`], which
+//!   decodes every posting's positions into one reused buffer and runs the
+//!   same checks as [`InvertedRecord::decode`]. A term takes its `df` from
+//!   the record header and pushes `(doc, belief)` straight into its list;
+//!   `#phrase` / `#uwN` copy each term into flat document, position-end
+//!   and position arrays and intersect them in document order.
+//! * **Ordered merge.** Every score list ascends by document, so an
+//!   operator merges its children k-way in document order, filling one
+//!   reused belief buffer (the defaults, then each child's belief in child
+//!   order) per document: no hashing and no sort, and the combinator sees
+//!   the same slice, so every score keeps its bits.
+//! * **Top-k selection.** "Document ranking is a sorting problem"
+//!   (Section 3.1), but only the best `k` are wanted: [`rank_score_list`]
+//!   selects them, then sorts just those.
+//!
+//! [`Posting`]: crate::postings::Posting
 
-use std::collections::HashMap;
-
-use crate::belief::{BeliefParams, CollectionStats, ListIdf};
+use crate::belief::{BeliefParams, CollectionStats};
 use crate::dict::Dictionary;
 use crate::documents::DocTable;
 use crate::error::{InqueryError, Result};
 use crate::postings::{DocId, InvertedRecord};
 use crate::query::ast::QueryNode;
-use crate::store::InvertedFileStore;
+use crate::store::{InvertedFileStore, RecordBytes};
 use crate::text::StopWords;
 
 /// Beliefs for the documents that have evidence, plus the shared default.
@@ -58,6 +76,8 @@ pub struct Evaluator<'a, S: InvertedFileStore + ?Sized> {
     records_fetched: u64,
     bytes_fetched: u64,
     dict_lookups: u64,
+    /// The one positions buffer every streamed posting decodes into.
+    positions: Vec<u32>,
 }
 
 impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
@@ -80,6 +100,7 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
             records_fetched: 0,
             bytes_fetched: 0,
             dict_lookups: 0,
+            positions: Vec::new(),
         }
     }
 
@@ -116,22 +137,53 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
         self.store.release_reservations();
     }
 
-    fn fetch_record(&mut self, term: &str) -> Result<Option<InvertedRecord>> {
+    /// Fetches `term`'s complete record, or `None` for a term the
+    /// dictionary does not hold.
+    fn fetch_record(&mut self, term: &str) -> Result<Option<RecordBytes>> {
         self.dict_lookups += 1;
         let Some(id) = self.dict.lookup(term) else { return Ok(None) };
         let bytes = self.store.fetch(self.dict.entry(id).store_ref)?;
         self.records_fetched += 1;
         self.bytes_fetched += bytes.len() as u64;
-        let record = InvertedRecord::decode(&bytes).ok_or_else(|| {
-            InqueryError::BadRecord(format!("record for term {term:?} failed to decode"))
-        })?;
-        Ok(Some(record))
+        Ok(Some(bytes))
     }
 
-    /// Belief of `tf` occurrences in `doc`, for a list whose idf factor
-    /// was built once with [`BeliefParams::list_idf`].
-    fn belief(&self, tf: u32, doc: DocId, idf: ListIdf) -> f64 {
-        self.params.belief(tf, self.params.len_term(self.docs.info(doc).len, &self.stats), idf)
+    /// Streams `term`'s record to `f` as `(doc, tf, positions)`, refusing
+    /// a record that fails to decode or names a document the collection
+    /// does not hold.
+    fn stream_record(
+        &mut self,
+        term: &str,
+        bytes: &[u8],
+        mut f: impl FnMut(DocId, u32, &[u32]),
+    ) -> Result<()> {
+        let num_docs = self.docs.len();
+        let mut stray = None;
+        let decoded = InvertedRecord::decode_each(bytes, &mut self.positions, |doc, tf, at| {
+            if (doc.0 as usize) < num_docs {
+                f(doc, tf, at);
+            } else {
+                stray = Some(doc);
+            }
+        });
+        match (decoded, stray) {
+            (None, _) => {
+                Err(InqueryError::BadRecord(format!("record for term {term:?} failed to decode")))
+            }
+            (Some(_), Some(doc)) => Err(InqueryError::BadRecord(format!(
+                "record for term {term:?} names document {} of {num_docs}",
+                doc.0
+            ))),
+            (Some(_), None) => Ok(()),
+        }
+    }
+
+    /// The belief function of a list of `df` documents: `tf` occurrences
+    /// in `doc`, which must be in the collection.
+    fn beliefs(&self, df: u32) -> impl Fn(DocId, u32) -> f64 + 'a {
+        let (params, stats, docs) = (self.params, self.stats, self.docs);
+        let idf = params.list_idf(df, &stats);
+        move |doc, tf| params.belief(tf, params.len_term(docs.info(doc).len, &stats), idf)
     }
 
     /// Evaluates a query tree into a score list.
@@ -155,26 +207,24 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
                 Ok(combine(&lists, |b| BeliefParams::max(b.iter().copied())))
             }
             QueryNode::Not(child) => {
-                let inner = self.evaluate(child)?;
-                Ok(ScoreList {
-                    default: BeliefParams::not(inner.default),
-                    entries: inner
-                        .entries
-                        .into_iter()
-                        .map(|(d, b)| (d, BeliefParams::not(b)))
-                        .collect(),
-                })
+                let mut list = self.evaluate(child)?;
+                list.default = BeliefParams::not(list.default);
+                for entry in &mut list.entries {
+                    entry.1 = BeliefParams::not(entry.1);
+                }
+                Ok(list)
             }
             QueryNode::WSum(children) => {
                 let mut lists = Vec::with_capacity(children.len());
-                let mut weights = Vec::with_capacity(children.len());
+                let mut weighted = Vec::with_capacity(children.len());
                 for (w, child) in children {
-                    weights.push(*w);
+                    weighted.push((*w, 0.0));
                     lists.push(self.evaluate(child)?);
                 }
                 Ok(combine(&lists, |beliefs| {
-                    let weighted: Vec<(f64, f64)> =
-                        weights.iter().copied().zip(beliefs.iter().copied()).collect();
+                    for (pair, &b) in weighted.iter_mut().zip(beliefs) {
+                        pair.1 = b;
+                    }
                     BeliefParams::wsum(&weighted)
                 }))
             }
@@ -189,12 +239,15 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
 
     fn eval_term(&mut self, term: &str) -> Result<ScoreList> {
         let default = self.params.default_belief;
-        let Some(record) = self.fetch_record(term)? else {
+        let Some(bytes) = self.fetch_record(term)? else {
             return Ok(ScoreList::uniform(default));
         };
-        let idf = self.params.list_idf(record.df(), &self.stats);
-        let entries =
-            record.postings.iter().map(|p| (p.doc, self.belief(p.tf, p.doc, idf))).collect();
+        // In every record the decode accepts, the header's df is the
+        // number of postings it streams.
+        let df = InvertedRecord::decode_header(&bytes).map_or(0, |(df, ..)| df);
+        let belief = self.beliefs(df);
+        let mut entries = Vec::new();
+        self.stream_record(term, &bytes, |doc, tf, _| entries.push((doc, belief(doc, tf))))?;
         Ok(ScoreList { default, entries })
     }
 
@@ -218,39 +271,42 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
         if needed.is_empty() {
             return Ok(ScoreList::uniform(self.params.default_belief));
         }
-        let mut records = Vec::with_capacity(needed.len());
-        for (offset, term) in &needed {
-            match self.fetch_record(term)? {
-                Some(r) => records.push((*offset, r)),
+        let mut lists: Vec<FlatPostings> = Vec::with_capacity(needed.len());
+        for (_, term) in &needed {
+            let Some(bytes) = self.fetch_record(term)? else {
                 // A genuinely unknown content word: the phrase matches
                 // nothing anywhere.
-                None => return Ok(ScoreList::uniform(self.params.default_belief)),
-            }
+                return Ok(ScoreList::uniform(self.params.default_belief));
+            };
+            let mut list = FlatPostings::default();
+            self.stream_record(term, &bytes, |doc, _, positions| list.push(doc, positions))?;
+            lists.push(list);
         }
-        // Intersect documents across all needed terms.
+        // Intersect in document order: each later list keeps a cursor that
+        // only moves forward, because the first list's documents ascend.
+        let (first, rest) = lists.split_first().expect("at least one needed term");
+        let mut cursors = vec![0usize; rest.len()];
+        let mut position_sets: Vec<(usize, &[u32])> = Vec::with_capacity(lists.len());
+        let mut pointers = Vec::new();
         let mut doc_tf: Vec<(DocId, u32)> = Vec::new();
-        let first_docs: Vec<DocId> = records[0].1.postings.iter().map(|p| p.doc).collect();
-        'docs: for doc in first_docs {
-            let mut position_sets: Vec<(usize, &[u32])> = Vec::with_capacity(records.len());
-            for (offset, record) in &records {
-                match record.postings.binary_search_by_key(&doc, |p| p.doc) {
-                    Ok(i) => position_sets.push((*offset, &record.postings[i].positions)),
-                    Err(_) => continue 'docs,
-                }
+        'docs: for (i, &doc) in first.docs.iter().enumerate() {
+            position_sets.clear();
+            position_sets.push((needed[0].0, first.positions(i)));
+            for ((list, cursor), &(offset, _)) in rest.iter().zip(&mut cursors).zip(&needed[1..]) {
+                let Some(at) = list.find(doc, cursor) else { continue 'docs };
+                position_sets.push((offset, list.positions(at)));
             }
             let count = match window {
                 None => phrase_matches(&position_sets),
-                Some(size) => window_matches(&position_sets, size),
+                Some(size) => window_matches(&position_sets, size, &mut pointers),
             };
             if count > 0 {
                 doc_tf.push((doc, count));
             }
         }
-        let idf = self.params.list_idf(doc_tf.len() as u32, &self.stats);
-        let default = self.params.default_belief;
-        let entries =
-            doc_tf.into_iter().map(|(doc, tf)| (doc, self.belief(tf, doc, idf))).collect();
-        Ok(ScoreList { default, entries })
+        let belief = self.beliefs(doc_tf.len() as u32);
+        let entries = doc_tf.into_iter().map(|(doc, tf)| (doc, belief(doc, tf))).collect();
+        Ok(ScoreList { default: self.params.default_belief, entries })
     }
 
     /// Evaluates and ranks: documents with evidence, best belief first
@@ -262,17 +318,68 @@ impl<'a, S: InvertedFileStore + ?Sized> Evaluator<'a, S> {
     }
 }
 
+/// One term's postings as flat arrays: the documents, the end of each
+/// posting's run in `positions`, and every posting's positions back to
+/// back.
+#[derive(Default)]
+struct FlatPostings {
+    docs: Vec<DocId>,
+    ends: Vec<usize>,
+    positions: Vec<u32>,
+}
+
+impl FlatPostings {
+    fn push(&mut self, doc: DocId, positions: &[u32]) {
+        self.docs.push(doc);
+        self.positions.extend_from_slice(positions);
+        self.ends.push(self.positions.len());
+    }
+
+    /// The positions of posting `i`.
+    fn positions(&self, i: usize) -> &[u32] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.positions[start..self.ends[i]]
+    }
+
+    /// The posting of `doc`, for documents asked in ascending order:
+    /// `cursor` is left at the first posting not below `doc`.
+    fn find(&self, doc: DocId, cursor: &mut usize) -> Option<usize> {
+        while self.docs.get(*cursor).is_some_and(|&d| d < doc) {
+            *cursor += 1;
+        }
+        if self.docs.get(*cursor) != Some(&doc) {
+            return None;
+        }
+        if self.docs.get(*cursor + 1) == Some(&doc) {
+            // Only a damaged record repeats a document; take the posting
+            // a binary search picks, as the evaluator always has.
+            return self.docs.binary_search(&doc).ok();
+        }
+        Some(*cursor)
+    }
+}
+
 /// Ranks an evaluated score list: documents with evidence, best belief
-/// first, ties broken by document id, truncated to `k`. Split out of
+/// first, ties broken by document id, truncated to `k`. Selects the top
+/// `k` first and sorts only those: the order (score descending, then
+/// document ascending) is total on non-NaN scores, so they are the same
+/// `k` in the same order a full sort would give. Split out of
 /// [`Evaluator::rank`] so callers can time evaluation and ranking as
 /// separate phases.
 pub fn rank_score_list(list: ScoreList, k: usize) -> Vec<ScoredDoc> {
+    if k == 0 {
+        return Vec::new();
+    }
     let mut scored: Vec<ScoredDoc> =
         list.entries.into_iter().map(|(doc, score)| ScoredDoc { doc, score }).collect();
-    scored.sort_unstable_by(|a, b| {
+    let order = |a: &ScoredDoc, b: &ScoredDoc| {
         b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal).then(a.doc.cmp(&b.doc))
-    });
-    scored.truncate(k);
+    };
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k - 1, order);
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(order);
     scored
 }
 
@@ -299,9 +406,10 @@ fn phrase_matches(position_sets: &[(usize, &[u32])]) -> u32 {
 
 /// Counts non-overlapping unordered windows of at most `size` positions
 /// containing one occurrence of every term (minimal-cover sweep).
-fn window_matches(position_sets: &[(usize, &[u32])], size: u32) -> u32 {
-    let k = position_sets.len();
-    let mut pointers = vec![0usize; k];
+/// `pointers` is scratch, reused across calls.
+fn window_matches(position_sets: &[(usize, &[u32])], size: u32, pointers: &mut Vec<usize>) -> u32 {
+    pointers.clear();
+    pointers.resize(position_sets.len(), 0);
     let mut count = 0u32;
     loop {
         let mut min_pos = u32::MAX;
@@ -329,20 +437,35 @@ fn window_matches(position_sets: &[(usize, &[u32])], size: u32) -> u32 {
     }
 }
 
-/// Merges child score lists document-wise with `f` applied to the per-child
-/// belief vector.
-fn combine(lists: &[ScoreList], f: impl Fn(&[f64]) -> f64) -> ScoreList {
-    let defaults: Vec<f64> = lists.iter().map(|l| l.default).collect();
-    let mut acc: HashMap<DocId, Vec<f64>> = HashMap::new();
-    for (i, list) in lists.iter().enumerate() {
-        for &(doc, belief) in &list.entries {
-            acc.entry(doc).or_insert_with(|| defaults.clone())[i] = belief;
+/// Merges child score lists in document order, applying `f` to one belief
+/// buffer per document: each child's belief in child order, or that
+/// child's default where it has no evidence. The output ascends by
+/// document, like every input.
+fn combine(lists: &[ScoreList], mut f: impl FnMut(&[f64]) -> f64) -> ScoreList {
+    let mut beliefs: Vec<f64> = lists.iter().map(|l| l.default).collect();
+    let default = f(&beliefs);
+    let mut cursors = vec![0usize; lists.len()];
+    let mut next = lists.iter().filter_map(|l| l.entries.first()).map(|&(d, _)| d).min();
+    let widest = lists.iter().map(|l| l.entries.len()).max().unwrap_or(0);
+    let mut entries = Vec::with_capacity(widest);
+    while let Some(doc) = next {
+        next = None;
+        for ((list, cursor), belief) in lists.iter().zip(&mut cursors).zip(&mut beliefs) {
+            *belief = list.default;
+            // Only a damaged record repeats a document in a list: the
+            // last of its beliefs stands, one entry per document.
+            while let Some(&(d, b)) = list.entries.get(*cursor) {
+                if d != doc {
+                    next = Some(next.map_or(d, |n: DocId| n.min(d)));
+                    break;
+                }
+                *belief = b;
+                *cursor += 1;
+            }
         }
+        entries.push((doc, f(&beliefs)));
     }
-    let mut entries: Vec<(DocId, f64)> =
-        acc.into_iter().map(|(doc, beliefs)| (doc, f(&beliefs))).collect();
-    entries.sort_unstable_by_key(|&(doc, _)| doc);
-    ScoreList { default: f(&defaults), entries }
+    ScoreList { default, entries }
 }
 
 #[cfg(test)]
@@ -510,6 +633,54 @@ mod tests {
         assert!((merged.entries[0].1 - (0.8 + 0.5) / 2.0).abs() < 1e-12);
         assert!((merged.entries[1].1 - (0.4 + 0.9) / 2.0).abs() < 1e-12);
         assert!((merged.default - 0.45).abs() < 1e-12);
+        // The merge runs in document order and hands the combinator the
+        // defaults, then one buffer per document in child order.
+        let a = ScoreList { default: 0.4, entries: vec![(DocId(2), 0.8), (DocId(5), 0.6)] };
+        let b = ScoreList { default: 0.3, entries: vec![(DocId(1), 0.9), (DocId(5), 0.7)] };
+        let c = ScoreList::uniform(0.2);
+        let mut seen = Vec::new();
+        let merged = combine(&[a, b, c], |beliefs| {
+            seen.push(beliefs.to_vec());
+            beliefs.iter().sum()
+        });
+        let docs: Vec<u32> = merged.entries.iter().map(|e| e.0 .0).collect();
+        assert_eq!(docs, vec![1, 2, 5]);
+        assert_eq!(
+            seen,
+            vec![
+                vec![0.4, 0.3, 0.2],
+                vec![0.4, 0.9, 0.2],
+                vec![0.8, 0.3, 0.2],
+                vec![0.6, 0.7, 0.2],
+            ]
+        );
+    }
+
+    #[test]
+    fn top_k_selection_equals_a_full_sort_truncated() {
+        // Equal scores straddle the cuts: 0.7 holds places 2-3 and 0.5
+        // places 4-7.
+        let entries: Vec<(DocId, f64)> = [(9, 0.5), (3, 0.7), (4, 0.5), (1, 0.5), (7, 0.9)]
+            .into_iter()
+            .chain([(2, 0.5), (8, 0.1), (5, 0.7), (6, 0.1)])
+            .map(|(d, s)| (DocId(d), s))
+            .collect();
+        let full = |entries: &[(DocId, f64)], k: usize| {
+            let mut all: Vec<ScoredDoc> =
+                entries.iter().map(|&(doc, score)| ScoredDoc { doc, score }).collect();
+            all.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.doc.cmp(&b.doc)));
+            all.truncate(k);
+            all
+        };
+        for k in 0..=entries.len() + 2 {
+            let list = ScoreList { default: 0.4, entries: entries.clone() };
+            assert_eq!(rank_score_list(list, k), full(&entries, k), "k={k}");
+        }
+        assert!(rank_score_list(ScoreList::uniform(0.4), 0).is_empty());
+        assert!(rank_score_list(ScoreList::uniform(0.4), 10).is_empty());
+        let ranked = rank_score_list(ScoreList { default: 0.4, entries }, 4);
+        let docs: Vec<u32> = ranked.iter().map(|s| s.doc.0).collect();
+        assert_eq!(docs, vec![7, 3, 5, 1], "ties at the cut go to the lower document");
     }
 
     #[test]
@@ -517,11 +688,11 @@ mod tests {
         // positions: a = [0, 10, 20], b = [1, 11, 21] → 3 disjoint windows.
         let a = [0u32, 10, 20];
         let b = [1u32, 11, 21];
-        assert_eq!(window_matches(&[(0, &a), (1, &b)], 3), 3);
+        assert_eq!(window_matches(&[(0, &a), (1, &b)], 3, &mut Vec::new()), 3);
         // Overlap case: a = [0], b = [1, 2]: one window only.
         let a = [0u32];
         let b = [1u32, 2];
-        assert_eq!(window_matches(&[(0, &a), (1, &b)], 3), 1);
+        assert_eq!(window_matches(&[(0, &a), (1, &b)], 3, &mut Vec::new()), 1);
     }
 
     #[test]

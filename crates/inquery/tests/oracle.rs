@@ -1,21 +1,24 @@
-//! An independent reference ranker for bag-of-words queries.
+//! An independent reference ranker for bag-of-words and structured queries.
 //!
-//! The oracle shares no code with the engine's ranking path: it reads the
-//! raw document texts into a `HashMap` of postings (no records, codec or
-//! cursors), writes the belief formula out from `belief.rs`'s module
-//! documentation, sums in the order `rank_daat_pruned` documents
-//! (ascending list index, then the absent mass) and fully sorts. The
+//! The oracle shares no code with the engine's ranking paths: it reads the
+//! raw document texts into `HashMap`s of postings and word positions (no
+//! records, codec or cursors), writes the belief formula and the operator
+//! combinators out from `belief.rs`'s module documentation, and fully
+//! sorts. For bag-of-words queries it sums in the order `rank_daat_pruned`
+//! documents (ascending list index, then the absent mass); the
 //! document-at-a-time ranker must match it document for document and score
-//! bit for bit, however much its max-score pruning skips.
+//! bit for bit, however much its max-score pruning skips. For query trees
+//! (`#sum #and #or #not #max #wsum #phrase #uwN`) the term-at-a-time
+//! `Evaluator` must match it the same way.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
 use poir_inquery::query::daat::{rank_daat_pruned, DaatStats};
 use poir_inquery::{
-    BeliefParams, Dictionary, DocTable, IndexBuilder, InvertedFileStore, MemoryStore, RecordBytes,
-    Result, ScoredDoc, StopWords,
+    BeliefParams, Dictionary, DocTable, Evaluator, IndexBuilder, InvertedFileStore, MemoryStore,
+    QueryNode, RecordBytes, Result, ScoredDoc, StopWords,
 };
 
 /// Words in the generated collections; low indices are drawn far more
@@ -23,28 +26,34 @@ use poir_inquery::{
 /// record layout.
 const VOCABULARY: u32 = 60;
 
-/// The reference: postings and lengths straight from the texts.
+/// The reference: postings, word positions and lengths straight from the
+/// texts.
 struct Oracle {
     postings: HashMap<String, Vec<(u32, u32)>>,
+    /// Each word's positions in each document holding it, by word order.
+    positions: HashMap<String, HashMap<u32, Vec<u32>>>,
     lens: Vec<u32>,
 }
 
 impl Oracle {
     fn new(texts: &[String]) -> Oracle {
         let mut postings: HashMap<String, Vec<(u32, u32)>> = HashMap::new();
+        let mut positions: HashMap<String, HashMap<u32, Vec<u32>>> = HashMap::new();
         let mut lens = Vec::new();
         for (doc, text) in texts.iter().enumerate() {
             let words: Vec<&str> = text.split(' ').filter(|w| !w.is_empty()).collect();
             lens.push(words.len() as u32);
             let mut tfs: HashMap<&str, u32> = HashMap::new();
-            for w in words {
+            for (at, &w) in words.iter().enumerate() {
                 *tfs.entry(w).or_default() += 1;
+                let by_doc = positions.entry(w.to_string()).or_default();
+                by_doc.entry(doc as u32).or_default().push(at as u32);
             }
             for (w, tf) in tfs {
                 postings.entry(w.to_string()).or_default().push((doc as u32, tf));
             }
         }
-        Oracle { postings, lens }
+        Oracle { postings, positions, lens }
     }
 
     /// `belief.rs`: T = tf / (tf + 0.5 + 1.5 · (dl / avg_dl)),
@@ -81,6 +90,168 @@ impl Oracle {
         }
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         scored.into_iter().take(k).map(|(doc, score)| (doc, score.to_bits())).collect()
+    }
+}
+
+/// A query tree with each leaf resolved to its evidence: the belief of
+/// every document the leaf matches.
+enum Resolved {
+    Leaf(HashMap<u32, f64>),
+    And(Vec<Resolved>),
+    Or(Vec<Resolved>),
+    Sum(Vec<Resolved>),
+    Max(Vec<Resolved>),
+    WSum(Vec<(f64, Resolved)>),
+    Not(Box<Resolved>),
+}
+
+/// The default belief `d`.
+const DEFAULT: f64 = 0.4;
+
+impl Oracle {
+    /// Where `word` occurs in `doc` (empty when it does not).
+    fn at(&self, word: &str, doc: u32) -> &[u32] {
+        self.positions.get(word).and_then(|d| d.get(&doc)).map_or(&[], Vec::as_slice)
+    }
+
+    /// A leaf's evidence from per-document occurrence counts: a synthetic
+    /// term whose df is the number of documents with a count above zero.
+    fn leaf(&self, counts: impl Fn(u32) -> u32) -> Resolved {
+        let tfs: Vec<(u32, u32)> = (0..self.lens.len() as u32)
+            .map(|doc| (doc, counts(doc)))
+            .filter(|&(_, tf)| tf > 0)
+            .collect();
+        let df = tfs.len() as u32;
+        Resolved::Leaf(
+            tfs.into_iter()
+                .map(|(doc, tf)| (doc, self.belief(tf, self.lens[doc as usize], df)))
+                .collect(),
+        )
+    }
+
+    /// Occurrences of `terms` at consecutive positions in `doc`.
+    fn phrase_count(&self, terms: &[String], doc: u32) -> u32 {
+        let starts = self.at(&terms[0], doc);
+        let matches = |&p: &&u32| {
+            terms.iter().enumerate().all(|(j, t)| self.at(t, doc).contains(&(p + j as u32)))
+        };
+        starts.iter().filter(matches).count() as u32
+    }
+
+    /// Disjoint windows of `size` positions holding every one of `terms`
+    /// in `doc`: the window starting earliest ends where the last term's
+    /// first occurrence at or after that start lies, and the next window
+    /// starts after it.
+    fn window_count(&self, terms: &[String], size: u32, doc: u32) -> u32 {
+        let len = self.lens[doc as usize];
+        let (mut count, mut start) = (0, 0);
+        while start < len {
+            // Each term's first occurrence at or after `start`.
+            let firsts: Option<Vec<u32>> = terms
+                .iter()
+                .map(|t| self.at(t, doc).iter().copied().find(|&p| p >= start))
+                .collect();
+            let Some(firsts) = firsts else { break };
+            let end = firsts.into_iter().max().unwrap();
+            if end - start < size {
+                count += 1;
+                start = end + 1;
+            } else {
+                start += 1;
+            }
+        }
+        count
+    }
+
+    fn resolve(&self, q: &QueryNode) -> Resolved {
+        let all = |c: &[QueryNode]| c.iter().map(|c| self.resolve(c)).collect();
+        match q {
+            QueryNode::Term(t) => self.leaf(|doc| self.at(t, doc).len() as u32),
+            QueryNode::Phrase(terms) => self.leaf(|doc| self.phrase_count(terms, doc)),
+            QueryNode::Window { size, terms } => {
+                self.leaf(|doc| self.window_count(terms, *size, doc))
+            }
+            QueryNode::And(c) => Resolved::And(all(c)),
+            QueryNode::Or(c) => Resolved::Or(all(c)),
+            QueryNode::Sum(c) => Resolved::Sum(all(c)),
+            QueryNode::Max(c) => Resolved::Max(all(c)),
+            QueryNode::WSum(c) => {
+                Resolved::WSum(c.iter().map(|(w, c)| (*w, self.resolve(c))).collect())
+            }
+            QueryNode::Not(c) => Resolved::Not(Box::new(self.resolve(c))),
+        }
+    }
+
+    /// Ranks `query` over every document, fully sorted.
+    fn rank_tree(&self, query: &QueryNode) -> Vec<(u32, u64)> {
+        let tree = self.resolve(query);
+        let mut matched = BTreeSet::new();
+        tree.matches(&mut matched);
+        let mut scored: Vec<(u32, f64)> = matched.into_iter().map(|d| (d, tree.at(d))).collect();
+        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        scored.into_iter().map(|(doc, score)| (doc, score.to_bits())).collect()
+    }
+}
+
+impl Resolved {
+    /// The union of the leaves' matching documents.
+    fn matches(&self, out: &mut BTreeSet<u32>) {
+        match self {
+            Resolved::Leaf(m) => out.extend(m.keys()),
+            Resolved::And(c) | Resolved::Or(c) | Resolved::Sum(c) | Resolved::Max(c) => {
+                c.iter().for_each(|c| c.matches(out))
+            }
+            Resolved::WSum(c) => c.iter().for_each(|(_, c)| c.matches(out)),
+            Resolved::Not(c) => c.matches(out),
+        }
+    }
+
+    /// The node's belief in `doc`, from `belief.rs`: `#and` the product,
+    /// `#or` 1 − ∏(1 − pᵢ), `#not` 1 − p, `#sum` the mean, `#wsum` the
+    /// weighted mean, `#max` the maximum, each over the children in order.
+    fn at(&self, doc: u32) -> f64 {
+        match self {
+            Resolved::Leaf(m) => m.get(&doc).copied().unwrap_or(DEFAULT),
+            Resolved::And(c) => {
+                let mut p = 1.0;
+                for c in c {
+                    p *= c.at(doc);
+                }
+                p
+            }
+            Resolved::Or(c) => {
+                let mut q = 1.0;
+                for c in c {
+                    q *= 1.0 - c.at(doc);
+                }
+                1.0 - q
+            }
+            Resolved::Sum(c) => {
+                let mut s = 0.0;
+                for c in c {
+                    s += c.at(doc);
+                }
+                s / c.len() as f64
+            }
+            Resolved::Max(c) => {
+                let mut m: f64 = 0.0;
+                for c in c {
+                    m = m.max(c.at(doc));
+                }
+                m
+            }
+            Resolved::WSum(c) => {
+                let (mut total, mut s) = (0.0, 0.0);
+                for (w, _) in c {
+                    total += w;
+                }
+                for (w, c) in c {
+                    s += w * c.at(doc);
+                }
+                s / total
+            }
+            Resolved::Not(c) => 1.0 - c.at(doc),
+        }
     }
 }
 
@@ -270,6 +441,99 @@ proptest! {
                 let expected = oracle.rank(bag, k);
                 let (pruned, _) = rank_daat_pruned(&mut store, &dict, &docs, params, bag, k).unwrap();
                 prop_assert_eq!(&bits(pruned), &expected, "rank_daat_pruned k={} bag={:?}", k, bag);
+            }
+        }
+    }
+}
+
+/// A word of the collection's skewed vocabulary, or (past it) one no
+/// document holds. The collection has no stop words and no one-letter
+/// words, so no phrase term is a positional wildcard.
+fn tree_word() -> impl Strategy<Value = String> {
+    (0..VOCABULARY + 4).prop_map(|x| {
+        if x < VOCABULARY {
+            format!("w{}", x * x / VOCABULARY)
+        } else {
+            format!("unknown{x}")
+        }
+    })
+}
+
+/// Query trees of at most `depth` levels over every operator, with terms,
+/// phrases and unordered windows as leaves.
+fn query_tree(depth: u32) -> BoxedStrategy<QueryNode> {
+    let leaf = prop_oneof![
+        3 => tree_word().prop_map(QueryNode::Term),
+        1 => proptest::collection::vec(tree_word(), 1..4).prop_map(QueryNode::Phrase),
+        1 => (1u32..9, proptest::collection::vec(tree_word(), 1..4))
+            .prop_map(|(size, terms)| QueryNode::Window { size, terms }),
+    ];
+    if depth <= 1 {
+        return leaf.boxed();
+    }
+    let inner = query_tree(depth - 1);
+    let children = || proptest::collection::vec(inner.clone(), 1..5);
+    let weighted = proptest::collection::vec((0..4usize, inner.clone()), 1..5);
+    prop_oneof![
+        1 => leaf,
+        1 => children().prop_map(QueryNode::Sum),
+        1 => children().prop_map(QueryNode::And),
+        1 => children().prop_map(QueryNode::Or),
+        1 => children().prop_map(QueryNode::Max),
+        1 => inner.clone().prop_map(|c| QueryNode::Not(Box::new(c))),
+        1 => weighted.prop_map(|c| {
+            QueryNode::WSum(c.into_iter().map(|(w, c)| ([0.5, 1.0, 2.0, 3.0][w], c)).collect())
+        }),
+    ]
+    .boxed()
+}
+
+#[test]
+fn evaluator_matches_the_reference_on_a_small_corpus() {
+    let texts: Vec<String> =
+        ["w0 w1 w2 w0 w1", "w1 w1 w3", "w0 w3 w4 w1 w0", "w5 w6 w7 w0"].map(String::from).to_vec();
+    let oracle = Oracle::new(&texts);
+    let (mut store, dict, docs, _) = engine(&texts);
+    let stop = StopWords::none();
+    let words = |w: &[&str]| w.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+    let term = |w: &str| QueryNode::Term(w.to_string());
+    for query in [
+        QueryNode::Sum(vec![term("w0"), term("w1"), term("w9")]),
+        QueryNode::And(vec![term("w0"), QueryNode::Not(Box::new(term("w3")))]),
+        QueryNode::Or(vec![QueryNode::Phrase(words(&["w0", "w1"])), term("w5")]),
+        QueryNode::Max(vec![QueryNode::Window { size: 3, terms: words(&["w1", "w0"]) }]),
+        QueryNode::WSum(vec![(2.0, term("w3")), (1.0, QueryNode::Phrase(words(&["w1", "w1"])))]),
+    ] {
+        let mut ev = Evaluator::new(&mut store, &dict, &docs, &stop, BeliefParams::default());
+        let ranked = bits(ev.rank(&query, usize::MAX).unwrap());
+        assert_eq!(ranked, oracle.rank_tree(&query), "{query:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn evaluator_matches_the_reference_on_query_trees(
+        texts in collection(),
+        queries in proptest::collection::vec(query_tree(3), 1..4),
+    ) {
+        let oracle = Oracle::new(&texts);
+        let (mut store, dict, docs, _) = engine(&texts);
+        let stop = StopWords::none();
+        for query in &queries {
+            let expected = oracle.rank_tree(query);
+            for k in [1, 10, 100, usize::MAX] {
+                let mut ev =
+                    Evaluator::new(&mut store, &dict, &docs, &stop, BeliefParams::default());
+                let ranked = bits(ev.rank(query, k).unwrap());
+                prop_assert_eq!(
+                    &ranked[..],
+                    &expected[..k.min(expected.len())],
+                    "k={} query={:?}",
+                    k,
+                    query
+                );
             }
         }
     }

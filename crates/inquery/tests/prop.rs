@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use poir_inquery::{
     codec, parse_query, porter, splice_append, splice_remove, BeliefParams, BlockCache,
-    BlockCursor, DocId, Evaluator, IndexBuilder, InvertedRecord, MemoryStore, Posting, QueryNode,
-    StopWords, BLOCK_SIZE,
+    BlockCursor, DocId, DocTable, Evaluator, IndexBuilder, InqueryError, InvertedRecord,
+    MemoryStore, Posting, QueryNode, StopWords, BLOCK_SIZE,
 };
 
 fn posting_strategy() -> impl Strategy<Value = Vec<Posting>> {
@@ -131,6 +131,181 @@ fn check_damaged(bytes: &[u8], append: u32, remove: DocId) {
     }
 }
 
+/// Record decode as the wire format defines it, written out with the
+/// public codec alone: the reference that pins which inputs decode, and to
+/// what. v1: header, then `df` postings of doc gap, tf and position gaps,
+/// ending exactly at the record's end. v2 blocked: extended header, skip
+/// directory spanning exactly the record, then blocks of packed doc gaps
+/// and tf−1 values agreeing with their directory entry, each block's
+/// position streams ending exactly at its boundary. Any `df` or `tf`
+/// larger than the record, and any doc or position past `u32`, is corrupt.
+fn reference_decode(bytes: &[u8]) -> Option<InvertedRecord> {
+    let vbyte = |pos: &mut usize| codec::decode_vbyte(bytes, pos);
+    let mut pos = 0;
+    let first = vbyte(&mut pos)?;
+    let mut header = None;
+    if first == 0 {
+        let mark = pos;
+        if vbyte(&mut pos) == Some(2) {
+            if let Some(df) = vbyte(&mut pos).filter(|&df| df > 0) {
+                let cf = (vbyte(&mut pos)? as u64) << 32 | vbyte(&mut pos)? as u64;
+                header = Some((df, cf, vbyte(&mut pos)?, true));
+            }
+        }
+        if header.is_none() {
+            pos = mark;
+        }
+    }
+    let (df, cf, max_tf, v2) = match header {
+        Some(h) => h,
+        None => (first, vbyte(&mut pos)? as u64, vbyte(&mut pos)?, false),
+    };
+    if df as usize > bytes.len() {
+        return None;
+    }
+    // One posting's positions from `*at`: absolute first, then gaps.
+    let positions = |at: &mut usize, tf: u32| -> Option<Vec<u32>> {
+        if tf as usize > bytes.len() {
+            return None;
+        }
+        let mut out: Vec<u32> = Vec::new();
+        for _ in 0..tf {
+            let gap = codec::decode_vbyte(bytes, at)?;
+            out.push(match out.last() {
+                Some(&prev) => prev.checked_add(gap)?,
+                None => gap,
+            });
+        }
+        Some(out)
+    };
+    let mut postings = Vec::new();
+    if df <= BLOCK_SIZE {
+        let mut doc = 0u32;
+        for i in 0..df {
+            let gap = vbyte(&mut pos)?;
+            doc = if i == 0 { gap } else { doc.checked_add(gap)? };
+            let tf = vbyte(&mut pos)?;
+            let positions = positions(&mut pos, tf)?;
+            postings.push(Posting { doc: DocId(doc), tf, positions });
+        }
+        return (pos == bytes.len()).then_some(InvertedRecord { cf, max_tf, postings });
+    }
+    if !v2 {
+        return None;
+    }
+    let blocks = df.div_ceil(BLOCK_SIZE) as usize;
+    if blocks * 5 > bytes.len() {
+        return None;
+    }
+    let block_len = |b: usize| (df as usize - b * BLOCK_SIZE as usize).min(BLOCK_SIZE as usize);
+    // Directory entries: (last doc, byte length, max tf, doc width, tf width).
+    let mut directory: Vec<(u32, usize, u32, u32, u32)> = Vec::new();
+    for b in 0..blocks {
+        let gap = vbyte(&mut pos)?;
+        let last = match directory.last() {
+            Some(&(prev, ..)) if gap > 0 => prev.checked_add(gap)?,
+            Some(_) => return None,
+            None => gap,
+        };
+        let len = vbyte(&mut pos)? as usize;
+        let (block_max, doc_width, tf_width) =
+            (vbyte(&mut pos)?, vbyte(&mut pos)?, vbyte(&mut pos)?);
+        let n = block_len(b);
+        let least = codec::packed_len(n, doc_width) + codec::packed_len(n, tf_width) + n;
+        if len == 0 || doc_width > 32 || tf_width > 32 || least > len {
+            return None;
+        }
+        directory.push((last, len, block_max, doc_width, tf_width));
+    }
+    let mut start = pos;
+    let mut doc = 0u32;
+    for (b, &(last, len, block_max, doc_width, tf_width)) in directory.iter().enumerate() {
+        let n = block_len(b);
+        let end = start + len;
+        let region = bytes.get(start..end)?;
+        let (doc_bytes, tf_bytes) =
+            (codec::packed_len(n, doc_width), codec::packed_len(n, tf_width));
+        let (mut gaps, mut tfs) = (Vec::new(), Vec::new());
+        codec::unpack_bits(&region[..doc_bytes], n, doc_width, &mut gaps)?;
+        codec::unpack_bits(&region[doc_bytes..doc_bytes + tf_bytes], n, tf_width, &mut tfs)?;
+        let mut at = start + doc_bytes + tf_bytes;
+        for (gap, tf_m1) in gaps.into_iter().zip(tfs) {
+            doc = doc.checked_add(gap)?;
+            let tf = tf_m1.checked_add(1)?;
+            if tf > block_max {
+                return None;
+            }
+            let positions = positions(&mut at, tf)?;
+            if at > end {
+                return None;
+            }
+            postings.push(Posting { doc: DocId(doc), tf, positions });
+        }
+        if doc != last || at != end {
+            return None;
+        }
+        start = end;
+    }
+    (start == bytes.len()).then_some(InvertedRecord { cf, max_tf, postings })
+}
+
+/// The streaming decode's view of `bytes`: its header and every posting
+/// it streamed, `None` when it refused the record.
+fn streamed(bytes: &[u8]) -> Option<(u32, u64, u32, Vec<Posting>)> {
+    let mut postings = Vec::new();
+    let mut scratch = vec![7, 7, 7]; // stale contents must never leak out
+    let (df, cf, max_tf) = InvertedRecord::decode_each(bytes, &mut scratch, |doc, tf, at| {
+        postings.push(Posting { doc, tf, positions: at.to_vec() });
+    })?;
+    Some((df, cf, max_tf, postings))
+}
+
+/// The streaming decode and its `decode` wrapper accept exactly what the
+/// reference accepts, and yield the reference's postings.
+fn check_decode(bytes: &[u8]) {
+    let want = reference_decode(bytes);
+    let got = streamed(bytes);
+    match &want {
+        None => assert_eq!(got, None, "streaming decode accepted {bytes:?}"),
+        Some(r) => assert_eq!(got, Some((r.df(), r.cf, r.max_tf, r.postings.clone()))),
+    }
+    assert_eq!(InvertedRecord::decode(bytes), want);
+}
+
+/// Ranks a few query shapes over a [`MemoryStore`] whose term "damaged"
+/// holds `bytes`, in a collection covering the first 4,096 documents the
+/// record may name: each ranking must be `Ok` or `Err(BadRecord)`.
+fn check_evaluator(bytes: &[u8]) {
+    let mut docs = DocTable::new();
+    for i in 0..4096u32 {
+        docs.push(format!("D{i}"), 1 + i % 17);
+    }
+    let mut store = MemoryStore::new();
+    let mut dict = poir_inquery::Dictionary::new();
+    let intact = InvertedRecord::from_postings(
+        (0..40).map(|d| Posting { doc: DocId(d * 3), tf: 2, positions: vec![1, 5] }).collect(),
+    );
+    for (term, record) in [("damaged", bytes.to_vec()), ("intact", intact.encode())] {
+        let id = dict.intern(term);
+        dict.entry_mut(id).store_ref = store.add(record);
+    }
+    let stop = StopWords::none();
+    let term = |t: &str| QueryNode::Term(t.to_string());
+    let pair = || vec!["intact".to_string(), "damaged".to_string()];
+    for query in [
+        term("damaged"),
+        QueryNode::Sum(vec![term("intact"), QueryNode::Not(Box::new(term("damaged")))]),
+        QueryNode::Phrase(pair()),
+        QueryNode::Window { size: 4, terms: pair() },
+    ] {
+        let mut ev = Evaluator::new(&mut store, &dict, &docs, &stop, BeliefParams::default());
+        match ev.rank(&query, 10) {
+            Ok(_) | Err(InqueryError::BadRecord(_)) => {}
+            Err(e) => panic!("{query:?}: {e}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -206,6 +381,28 @@ proptest! {
         }
         check_damaged(&mutated, next, victim);
         check_damaged(&garbage, next, victim);
+    }
+
+    #[test]
+    fn streaming_decode_accepts_exactly_the_reference_records(
+        record in splice_record(),
+        cut in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+        garbage in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        // The same inputs the damaged-splice property draws.
+        let bytes = record.encode();
+        prop_assert_eq!(reference_decode(&bytes), Some(record));
+        let truncated = &bytes[..cut % bytes.len()];
+        let mut mutated = bytes.clone();
+        for (at, x) in flips {
+            let len = mutated.len();
+            mutated[at % len] ^= x;
+        }
+        for input in [&bytes[..], truncated, &mutated, &garbage] {
+            check_decode(input);
+            check_evaluator(input);
+        }
     }
 }
 

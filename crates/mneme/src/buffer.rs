@@ -41,10 +41,6 @@ impl BufferStats {
 
 /// The standard buffer operations a pool is written against.
 pub trait Buffer: Send {
-    /// Buffer capacity in bytes. Zero means "retain only the segment most
-    /// recently inserted", i.e. no caching across accesses.
-    fn capacity(&self) -> usize;
-
     /// Returns the resident segment at `addr`, promoting it in the
     /// replacement order. Needed only by mutating paths — read paths use
     /// [`Buffer::touch`] + [`Buffer::probe`] so the promotion bookkeeping
@@ -101,9 +97,6 @@ pub trait Buffer: Send {
 
     /// Resets counters (between query sets).
     fn reset_stats(&mut self);
-
-    /// Bytes of segment data currently resident.
-    fn resident_bytes(&self) -> usize;
 }
 
 /// Which replacement policy a pool's buffer should use.
@@ -199,6 +192,12 @@ impl LruBuffer {
         }
     }
 
+    /// Bytes of segment data currently resident.
+    #[cfg(test)]
+    fn resident_bytes(&self) -> usize {
+        self.resident_bytes
+    }
+
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
         if prev != NIL {
@@ -263,10 +262,6 @@ impl LruBuffer {
 }
 
 impl Buffer for LruBuffer {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn lookup(&mut self, addr: SegmentAddr) -> Option<&mut SegmentImage> {
         let idx = self.map.get(&addr).copied()?;
         if self.head != idx {
@@ -384,10 +379,6 @@ impl Buffer for LruBuffer {
 
     fn reset_stats(&mut self) {
         self.stats = BufferStats::default();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.resident_bytes
     }
 }
 

@@ -108,6 +108,18 @@ impl S3FifoBuffer {
         }
     }
 
+    /// Buffer capacity in bytes.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Bytes of segment data currently resident.
+    #[cfg(test)]
+    fn resident_bytes(&self) -> usize {
+        self.resident_bytes
+    }
+
     fn unlink(&mut self, idx: usize) {
         let (prev, next, in_main) =
             (self.nodes[idx].prev, self.nodes[idx].next, self.nodes[idx].in_main);
@@ -267,10 +279,6 @@ impl S3FifoBuffer {
 }
 
 impl Buffer for S3FifoBuffer {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn lookup(&mut self, addr: SegmentAddr) -> Option<&mut SegmentImage> {
         let idx = self.map.get(&addr).copied()?;
         self.nodes[idx].freq = (self.nodes[idx].freq + 1).min(FREQ_MAX);
@@ -398,10 +406,6 @@ impl Buffer for S3FifoBuffer {
 
     fn reset_stats(&mut self) {
         self.stats = BufferStats::default();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.resident_bytes
     }
 }
 
@@ -687,7 +691,10 @@ mod tests {
         ] {
             let p: BufferPolicy = s.parse().unwrap();
             assert_eq!(p, want);
-            assert_eq!(p.build(64).capacity(), 64);
+            // Built at 64 bytes: a 64-byte segment fits, a 65-byte one
+            // bounces.
+            assert!(p.build(64).insert(addr(0), image(64, 1)).is_empty(), "{s}");
+            assert_eq!(p.build(64).insert(addr(0), image(65, 1)).len(), 1, "{s}");
         }
         assert!("arc".parse::<BufferPolicy>().is_err());
         assert_eq!(BufferPolicy::S3Fifo.to_string(), "s3fifo");
