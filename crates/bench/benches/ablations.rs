@@ -197,18 +197,12 @@ fn ablation_small_pool() {
             vec![
                 PoolConfig { id: PoolId(0), kind: PoolKindConfig::Small },
                 PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 8192 } },
-                PoolConfig {
-                    id: PoolId(2),
-                    kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-                },
+                PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
             ]
         } else {
             vec![
                 PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 8192 } },
-                PoolConfig {
-                    id: PoolId(2),
-                    kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-                },
+                PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
             ]
         };
         let mut file = MnemeFile::create(device.create_file(), &pools, 64).expect("create");

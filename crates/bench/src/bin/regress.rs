@@ -35,7 +35,8 @@
 //!   The only thing that moves that number is engine (CPU) time — which
 //!   is exactly where disabled-tracing overhead would show up, since the
 //!   measured run has tracing off and every hook costs one `Option`
-//!   branch.
+//!   branch. The budget is one-sided: a run whose engine got *faster*
+//!   never fails it.
 //!
 //! ```text
 //! cargo run --release -p poir-bench --bin regress -- \
@@ -243,10 +244,11 @@ fn compare(run: &ThroughputRun, baseline: &[BaselineMode], tolerance: f64) -> bo
         // Strict modes: QPS at the baseline's I/O charge isolates engine
         // (CPU) time, which is where instrumentation overhead would land.
         let strict = base.name == "serial" || base.name == "parallel_4";
+        // One-sided: only a shortfall below the baseline QPS counts.
         let overhead_dev = if strict {
             let wall = fresh.report.engine_time.as_secs_f64()
                 + base.sys_io_secs / base.threads.max(1) as f64;
-            rel(run.queries as f64 / wall, base.qps)
+            (base.qps - run.queries as f64 / wall) / base.qps
         } else {
             0.0
         };
@@ -447,7 +449,7 @@ fn main() {
     }
     eprintln!(
         "# regression gate vs {baseline_path}: scale {scale}, tolerance ±{:.0}% \
-         (serial/parallel_4 engine-time overhead held to ±{:.0}%)",
+         (serial/parallel_4 engine-time overhead held under {:.0}%)",
         tolerance * 100.0,
         OVERHEAD_TOLERANCE * 100.0
     );

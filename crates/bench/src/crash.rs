@@ -226,10 +226,7 @@ fn pool_configs() -> Vec<PoolConfig> {
     vec![
         PoolConfig { id: PoolId(0), kind: PoolKindConfig::Small },
         PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 512 } },
-        PoolConfig {
-            id: PoolId(2),
-            kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-        },
+        PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
     ]
 }
 

@@ -826,9 +826,9 @@ impl Engine {
     /// Records are rewritten through [`poir_mneme::MnemeFile::update`],
     /// which writes back only the bytes a splice changed. A record that
     /// outgrows its segment moves to the end of the data region with one
-    /// size class of headroom, and the space it leaves is reclaimed only
-    /// by an explicit [`poir_mneme::gc::compact`] pass, which no engine
-    /// path runs.
+    /// size class of headroom. The space it leaves is counted in
+    /// [`poir_mneme::MnemeFile::garbage_bytes`] and is not reclaimed: the
+    /// store has no compaction pass.
     pub fn remove_document(&mut self, doc: DocId, text: &str) -> Result<()> {
         let Engine { store, dict, stop, .. } = self;
         let StoreImpl::Mneme(store) = store else {

@@ -13,9 +13,6 @@
 //! * [`engine`] — the [`Engine`] facade: build/open an index, run queries,
 //!   measure query sets the way the paper does, and (extension) add or
 //!   remove documents incrementally through the object store,
-//! * [`chunked`] — large inverted lists broken into linked chunk objects
-//!   via inter-object references (the paper's future-work item enabling
-//!   incremental retrieval),
 //! * `pipeline` (crate-private) — the one evaluation pipeline [`Engine`],
 //!   [`ShardedEngine`], [`QueryService`] and the batch runners drive, with
 //!   its deadline / retry / degrade rule.
@@ -26,7 +23,6 @@
 pub mod btree_store;
 pub mod buffer_sizing;
 pub mod builder;
-pub mod chunked;
 pub mod engine;
 pub mod error;
 pub mod mneme_store;

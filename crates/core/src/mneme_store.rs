@@ -23,9 +23,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use poir_inquery::{BlockCache, Dictionary, InvertedFileStore, RecordBytes, TermId};
-use poir_mneme::{
-    BufferPolicy, MnemeFile, ObjectBytes, ObjectId, PoolConfig, PoolId, PoolKindConfig,
-};
+use poir_mneme::{BufferPolicy, MnemeFile, ObjectId, PoolConfig, PoolId, PoolKindConfig};
 use poir_storage::FileHandle;
 use poir_telemetry::{Event, Recorder};
 
@@ -79,15 +77,6 @@ pub fn pool_for_with(len: usize, large_min: usize) -> PoolId {
     }
 }
 
-/// Converts a Mneme payload into the store boundary's byte type without
-/// copying: shared cache slices stay shared, owned reads stay owned.
-fn to_record_bytes(bytes: ObjectBytes) -> RecordBytes {
-    match bytes {
-        ObjectBytes::Owned(v) => RecordBytes::Owned(v),
-        ObjectBytes::Shared { buf, start, end } => RecordBytes::Shared { buf, start, end },
-    }
-}
-
 fn pool_configs(medium_segment: usize) -> Vec<PoolConfig> {
     vec![
         PoolConfig { id: SMALL_POOL, kind: PoolKindConfig::Small },
@@ -95,10 +84,7 @@ fn pool_configs(medium_segment: usize) -> Vec<PoolConfig> {
             id: MEDIUM_POOL,
             kind: PoolKindConfig::Packed { segment_size: medium_segment as u32 },
         },
-        PoolConfig {
-            id: LARGE_POOL,
-            kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-        },
+        PoolConfig { id: LARGE_POOL, kind: PoolKindConfig::SegmentPerObject },
     ]
 }
 
@@ -394,7 +380,7 @@ impl InvertedFileStore for SharedMnemeView<'_> {
         let bytes = self.file.get(id).map_err(CoreError::from)?;
         self.recorder.incr(Event::RecordDecoded);
         self.recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
-        Ok(to_record_bytes(bytes))
+        Ok(bytes)
     }
 
     /// Opening reads (`start == 0`) count one record lookup exactly like a
@@ -421,18 +407,18 @@ impl InvertedFileStore for SharedMnemeView<'_> {
                     self.recorder.incr(Event::RecordDecoded);
                 }
                 self.recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
-                Ok(to_record_bytes(bytes))
+                Ok(bytes)
             }
             None => {
                 let bytes = self.file.get(id).map_err(CoreError::from)?;
                 if start == 0 {
                     self.recorder.incr(Event::RecordDecoded);
                     self.recorder.add(Event::RecordBytesDecoded, bytes.len() as u64);
-                    Ok(to_record_bytes(bytes))
+                    Ok(bytes)
                 } else {
                     let from = (start.min(bytes.len() as u64)) as usize;
                     let to = from.saturating_add(len).min(bytes.len());
-                    Ok(to_record_bytes(bytes).slice(from, to))
+                    Ok(bytes.slice(from, to))
                 }
             }
         }

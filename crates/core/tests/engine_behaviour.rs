@@ -14,6 +14,7 @@ use poir_inquery::{
 };
 use poir_storage::{
     CostModel, Device, DeviceConfig, FaultKind, FaultOp, FaultPlan, FaultRule, FaultSchedule,
+    FileHandle,
 };
 
 /// Document `d` of a deterministic pseudo-corpus with skewed term
@@ -461,14 +462,20 @@ proptest! {
     }
 }
 
-#[test]
-fn forged_metadata_is_refused_without_panicking() {
+/// A small Mneme engine, its saved metadata file, and that file's bytes.
+fn saved_engine() -> (Arc<Device>, Engine, FileHandle, Vec<u8>) {
     let dev = device();
     let mut engine =
         Engine::builder(&dev).backend(BackendKind::MnemeCache).build(build_index(40)).unwrap();
     let meta = dev.create_file();
     engine.save(&meta).unwrap();
     let saved = meta.read(0, meta.len().unwrap() as usize).unwrap();
+    (dev, engine, meta, saved)
+}
+
+#[test]
+fn forged_metadata_is_refused_without_panicking() {
+    let (dev, engine, meta, saved) = saved_engine();
     let store_len = engine.store_handle().len().unwrap();
     // The header: "IQME", the backend tag, the largest record's length,
     // then the dictionary's length.
@@ -498,4 +505,36 @@ fn forged_metadata_is_refused_without_panicking() {
     }
     // The unforged metadata still opens.
     Engine::builder(&dev).open(engine.store_handle().clone(), &meta).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A saved engine's metadata file with one byte flipped by a random
+    /// mask, or truncated to a random length, either opens or is refused
+    /// as `CorruptMetadata`; an engine that opens answers a query with `Ok`
+    /// or `Err`. Nothing panics.
+    #[test]
+    fn damaged_metadata_opens_or_is_refused_without_panicking(
+        at in any::<usize>(),
+        mask in 1u8..=255,
+        truncate in any::<bool>(),
+    ) {
+        let (dev, engine, _, mut bytes) = saved_engine();
+        let at = at % bytes.len();
+        if truncate {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= mask;
+        }
+        let damaged = dev.create_file();
+        damaged.write(0, &bytes).unwrap();
+        match Engine::builder(&dev).open(engine.store_handle().clone(), &damaged) {
+            Ok(mut opened) => {
+                let _ = opened.query("object store performance w17", 5);
+            }
+            Err(poir_core::CoreError::CorruptMetadata(_)) => {}
+            Err(e) => prop_assert!(false, "damaged at byte {at}: {e}"),
+        }
+    }
 }

@@ -50,9 +50,15 @@ impl DocTable {
         self.docs.is_empty()
     }
 
-    /// Metadata for `doc`.
+    /// Metadata for `doc`. Panics when `doc` is past the collection.
     pub fn info(&self, doc: DocId) -> &DocInfo {
         &self.docs[doc.0 as usize]
+    }
+
+    /// Metadata for `doc`, or `None` when `doc` is past the collection (a
+    /// damaged record can name such a document).
+    pub fn get(&self, doc: DocId) -> Option<&DocInfo> {
+        self.docs.get(doc.0 as usize)
     }
 
     /// Shortest document length in tokens (0 when empty). Term belief is

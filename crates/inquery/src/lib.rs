@@ -41,6 +41,7 @@ pub use documents::{DocInfo, DocTable};
 pub use error::{InqueryError, Result};
 pub use index::{Index, IndexBuilder};
 pub use metrics::Judgments;
+pub use poir_storage::RecordBytes;
 pub use porter::stem;
 pub use postings::{
     splice_append, splice_remove, BlockCursor, DocId, InvertedRecord, Posting, PostingsCursor,
@@ -49,5 +50,5 @@ pub use postings::{
 pub use query::{
     merge_topk, parse_query, rank_score_list, Evaluator, QueryNode, ScoreList, ScoredDoc,
 };
-pub use store::{InvertedFileStore, MemoryStore, RecordBytes};
+pub use store::{InvertedFileStore, MemoryStore};
 pub use text::{tokenize, StopWords};

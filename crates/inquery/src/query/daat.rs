@@ -15,6 +15,8 @@
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use poir_storage::RecordBytes;
+
 use crate::belief::{BeliefParams, CollectionStats, ListIdf};
 use crate::dict::Dictionary;
 use crate::documents::DocTable;
@@ -22,7 +24,7 @@ use crate::error::{InqueryError, Result};
 use crate::postings::{BlockCursor, DocId, SkipBlock};
 use crate::query::ast::QueryNode;
 use crate::query::eval::ScoredDoc;
-use crate::store::{InvertedFileStore, RecordBytes};
+use crate::store::InvertedFileStore;
 
 /// Safety margin for floating-point upper-bound comparisons. Bounds are
 /// computed in a different operation order than exact scores, so two
@@ -410,7 +412,13 @@ pub fn rank_daat_pruned<S: InvertedFileStore + ?Sized>(
         if cand == END {
             break;
         }
-        let len_term = params.len_term(docs.info(DocId(cand)).len, &collection);
+        let Some(info) = docs.get(DocId(cand)) else {
+            return Err(InqueryError::BadRecord(format!(
+                "a record names document {cand} of {}",
+                docs.len()
+            )));
+        };
+        let len_term = params.len_term(info.len, &collection);
 
         // Exact contributions from matching essential lists, record-level
         // bounds for the non-essential rest. Each posting's belief is

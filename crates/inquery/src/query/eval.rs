@@ -31,13 +31,15 @@
 //!
 //! [`Posting`]: crate::postings::Posting
 
+use poir_storage::RecordBytes;
+
 use crate::belief::{BeliefParams, CollectionStats};
 use crate::dict::Dictionary;
 use crate::documents::DocTable;
 use crate::error::{InqueryError, Result};
 use crate::postings::{DocId, InvertedRecord};
 use crate::query::ast::QueryNode;
-use crate::store::{InvertedFileStore, RecordBytes};
+use crate::store::InvertedFileStore;
 use crate::text::StopWords;
 
 /// Beliefs for the documents that have evidence, plus the shared default.

@@ -12,158 +12,9 @@
 
 use std::sync::Arc;
 
+use poir_storage::RecordBytes;
+
 use crate::error::Result;
-
-/// Bytes of one fetched record (or record range), in whatever ownership
-/// form the backend could produce cheapest.
-///
-/// The fetch path is zero-copy where possible: a backend whose cache
-/// already holds the record's buffer hands out a [`RecordBytes::Shared`]
-/// sub-slice of that reference-counted buffer instead of copying into a
-/// fresh `Vec`. Callers treat both variants uniformly as `&[u8]` (the type
-/// derefs to a slice); a shared slice stays valid for as long as the value
-/// lives, even if the backend's cache evicts or mutates the segment in the
-/// meantime (mutation is copy-on-write against outstanding readers).
-#[derive(Debug, Clone)]
-pub enum RecordBytes {
-    /// A private copy the caller exclusively owns (direct disk reads and
-    /// sliced fallbacks).
-    Owned(Vec<u8>),
-    /// The sub-slice `buf[start..end]` of a buffer shared with the
-    /// backend's cache — produced without copying payload bytes.
-    Shared {
-        /// The shared backing buffer (a cached segment image, usually).
-        buf: Arc<Vec<u8>>,
-        /// First payload byte within `buf`.
-        start: usize,
-        /// One past the last payload byte within `buf`.
-        end: usize,
-    },
-}
-
-impl RecordBytes {
-    /// Wraps the sub-slice `buf[start..end]` without copying.
-    pub fn shared(buf: Arc<Vec<u8>>, start: usize, end: usize) -> Self {
-        debug_assert!(start <= end && end <= buf.len());
-        RecordBytes::Shared { buf, start, end }
-    }
-
-    /// The record bytes as a slice.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            RecordBytes::Owned(v) => v,
-            RecordBytes::Shared { buf, start, end } => &buf[*start..*end],
-        }
-    }
-
-    /// Re-slices to `self[from..to]` (clamped) without copying: an owned
-    /// buffer moves behind an `Arc`, a shared slice just restrides.
-    pub fn slice(self, from: usize, to: usize) -> RecordBytes {
-        match self {
-            RecordBytes::Owned(v) => {
-                let end = to.min(v.len());
-                let start = from.min(end);
-                RecordBytes::Shared { buf: Arc::new(v), start, end }
-            }
-            RecordBytes::Shared { buf, start, end } => {
-                let new_end = start.saturating_add(to).min(end);
-                let new_start = start.saturating_add(from).min(new_end);
-                RecordBytes::Shared { buf, start: new_start, end: new_end }
-            }
-        }
-    }
-
-    /// An exclusively owned `Vec`, copying only when the bytes are still
-    /// shared with another holder or are a proper sub-slice.
-    pub fn into_vec(self) -> Vec<u8> {
-        match self {
-            RecordBytes::Owned(v) => v,
-            RecordBytes::Shared { buf, start, end } => {
-                if start == 0 && end == buf.len() {
-                    Arc::try_unwrap(buf).unwrap_or_else(|shared| shared.to_vec())
-                } else {
-                    buf[start..end].to_vec()
-                }
-            }
-        }
-    }
-
-    /// Mutable access to the bytes, converting a shared slice into an
-    /// owned copy first (record-level copy-on-write).
-    pub fn to_mut(&mut self) -> &mut Vec<u8> {
-        if matches!(self, RecordBytes::Shared { .. }) {
-            let owned = std::mem::replace(self, RecordBytes::Owned(Vec::new())).into_vec();
-            *self = RecordBytes::Owned(owned);
-        }
-        match self {
-            RecordBytes::Owned(v) => v,
-            RecordBytes::Shared { .. } => unreachable!("just converted to Owned"),
-        }
-    }
-
-    /// Whether the bytes are a zero-copy view of a backend buffer.
-    pub fn is_shared(&self) -> bool {
-        matches!(self, RecordBytes::Shared { .. })
-    }
-}
-
-impl std::ops::Deref for RecordBytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl AsRef<[u8]> for RecordBytes {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl From<Vec<u8>> for RecordBytes {
-    fn from(v: Vec<u8>) -> Self {
-        RecordBytes::Owned(v)
-    }
-}
-
-impl From<Arc<Vec<u8>>> for RecordBytes {
-    fn from(buf: Arc<Vec<u8>>) -> Self {
-        let end = buf.len();
-        RecordBytes::Shared { buf, start: 0, end }
-    }
-}
-
-impl PartialEq for RecordBytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-impl Eq for RecordBytes {}
-impl PartialEq<[u8]> for RecordBytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-impl PartialEq<&[u8]> for RecordBytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-impl PartialEq<Vec<u8>> for RecordBytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-impl<const N: usize> PartialEq<[u8; N]> for RecordBytes {
-    fn eq(&self, other: &[u8; N]) -> bool {
-        self.as_slice() == other
-    }
-}
-impl<const N: usize> PartialEq<&[u8; N]> for RecordBytes {
-    fn eq(&self, other: &&[u8; N]) -> bool {
-        self.as_slice() == *other
-    }
-}
 
 /// A pluggable inverted-file backend.
 pub trait InvertedFileStore {

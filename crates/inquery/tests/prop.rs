@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use poir_inquery::query::daat::rank_daat_pruned;
 use poir_inquery::{
     codec, parse_query, porter, splice_append, splice_remove, BeliefParams, BlockCache,
     BlockCursor, DocId, DocTable, Evaluator, IndexBuilder, InqueryError, InvertedRecord,
@@ -272,18 +273,22 @@ fn check_decode(bytes: &[u8]) {
     assert_eq!(InvertedRecord::decode(bytes), want);
 }
 
-/// Ranks a few query shapes over a [`MemoryStore`] whose term "damaged"
-/// holds `bytes`, in a collection covering the first 4,096 documents the
-/// record may name: each ranking must be `Ok` or `Err(BadRecord)`.
-fn check_evaluator(bytes: &[u8]) {
+/// Ranks over a [`MemoryStore`] whose term "damaged" holds `bytes`, in a
+/// collection of `num_docs` documents: a few query shapes through the
+/// term-at-a-time [`Evaluator`], then both terms as a bag through
+/// [`rank_daat_pruned`]. Returns each ranking's outcome, labelled.
+fn rank_damaged(bytes: &[u8], num_docs: u32) -> Vec<(String, Result<usize, InqueryError>)> {
     let mut docs = DocTable::new();
-    for i in 0..4096u32 {
+    for i in 0..num_docs {
         docs.push(format!("D{i}"), 1 + i % 17);
     }
     let mut store = MemoryStore::new();
     let mut dict = poir_inquery::Dictionary::new();
     let intact = InvertedRecord::from_postings(
-        (0..40).map(|d| Posting { doc: DocId(d * 3), tf: 2, positions: vec![1, 5] }).collect(),
+        (0..num_docs.min(120))
+            .step_by(3)
+            .map(|d| Posting { doc: DocId(d), tf: 2, positions: vec![1, 5] })
+            .collect(),
     );
     for (term, record) in [("damaged", bytes.to_vec()), ("intact", intact.encode())] {
         let id = dict.intern(term);
@@ -292,6 +297,7 @@ fn check_evaluator(bytes: &[u8]) {
     let stop = StopWords::none();
     let term = |t: &str| QueryNode::Term(t.to_string());
     let pair = || vec!["intact".to_string(), "damaged".to_string()];
+    let mut outcomes = Vec::new();
     for query in [
         term("damaged"),
         QueryNode::Sum(vec![term("intact"), QueryNode::Not(Box::new(term("damaged")))]),
@@ -299,10 +305,34 @@ fn check_evaluator(bytes: &[u8]) {
         QueryNode::Window { size: 4, terms: pair() },
     ] {
         let mut ev = Evaluator::new(&mut store, &dict, &docs, &stop, BeliefParams::default());
-        match ev.rank(&query, 10) {
+        outcomes.push((format!("{query:?}"), ev.rank(&query, 10).map(|r| r.len())));
+    }
+    let bag: Vec<(f64, String)> = pair().into_iter().map(|t| (1.0, t)).collect();
+    let pruned = rank_daat_pruned(&mut store, &dict, &docs, BeliefParams::default(), &bag, 10);
+    outcomes.push(("rank_daat_pruned".to_string(), pruned.map(|(r, _)| r.len())));
+    outcomes
+}
+
+/// Every ranking over a damaged record in a 4,096-document collection is
+/// `Ok` or `Err(BadRecord)`.
+fn check_evaluator(bytes: &[u8]) {
+    for (ranker, outcome) in rank_damaged(bytes, 4096) {
+        match outcome {
             Ok(_) | Err(InqueryError::BadRecord(_)) => {}
-            Err(e) => panic!("{query:?}: {e}"),
+            Err(e) => panic!("{ranker}: {e}"),
         }
+    }
+}
+
+#[test]
+fn a_record_naming_a_document_past_the_collection_is_a_bad_record() {
+    let record = InvertedRecord::from_postings(vec![Posting {
+        doc: DocId(5000),
+        tf: 1,
+        positions: vec![0],
+    }]);
+    for (ranker, outcome) in rank_damaged(&record.encode(), 10) {
+        assert!(matches!(outcome, Err(InqueryError::BadRecord(_))), "{ranker}: {outcome:?}");
     }
 }
 

@@ -24,10 +24,6 @@ pub enum MnemeError {
     Corrupt(String),
     /// An error from the storage substrate.
     Storage(poir_storage::StorageError),
-    /// The store-level global-id table is full (2^28 simultaneous objects).
-    GlobalIdsExhausted,
-    /// The referenced file slot is not open in this store.
-    NoSuchFile(u16),
 }
 
 impl fmt::Display for MnemeError {
@@ -42,8 +38,6 @@ impl fmt::Display for MnemeError {
             }
             MnemeError::Corrupt(msg) => write!(f, "corrupt mneme file: {msg}"),
             MnemeError::Storage(e) => write!(f, "storage error: {e}"),
-            MnemeError::GlobalIdsExhausted => write!(f, "global id space exhausted"),
-            MnemeError::NoSuchFile(slot) => write!(f, "no file open at store slot {slot}"),
         }
     }
 }

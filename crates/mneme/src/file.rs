@@ -54,12 +54,11 @@ use std::ops::Range;
 use std::time::Duration;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use poir_storage::FileHandle;
+use poir_storage::{FileHandle, RecordBytes};
 use poir_telemetry::trace::{LOCK_META_READ, LOCK_META_WRITE, LOCK_POOL};
 use poir_telemetry::{PoolEvent, Recorder, TraceOp};
 
 use crate::buffer::{Buffer, BufferStats, LruBuffer};
-use crate::bytes::ObjectBytes;
 use crate::error::{MnemeError, Result};
 use crate::id::{LogicalSegment, ObjectId, PoolId, MAX_LOGICAL_SEGMENTS, SLOTS_PER_SEGMENT};
 use crate::pool::{AppendOutcome, LocateResult, Pool, PoolConfig, SEGMENT_HEADER_LEN};
@@ -333,9 +332,9 @@ fn locate_in(pool: &dyn Pool, seg: &[u8], seg_len: usize, id: ObjectId) -> Resul
 
 /// Extracts `id`'s payload from a located segment image as a zero-copy
 /// shared slice of the image's buffer.
-fn extract_object(pool: &dyn Pool, seg: &SegmentImage, id: ObjectId) -> Result<ObjectBytes> {
+fn extract_object(pool: &dyn Pool, seg: &SegmentImage, id: ObjectId) -> Result<RecordBytes> {
     let r = locate_in(pool, seg.bytes(), seg.len(), id)?;
-    Ok(ObjectBytes::shared(seg.share(), r.start, r.end))
+    Ok(RecordBytes::shared(seg.share(), r.start, r.end))
 }
 
 /// Moves `id` out of the segment it outgrew: writes `data` into a fresh
@@ -678,7 +677,7 @@ impl MnemeFile {
     /// Reads an object's payload. Building-segment and buffer-resident
     /// objects are served as zero-copy shared slices of the cached segment
     /// image; only buffer misses transfer bytes.
-    pub fn get(&self, id: ObjectId) -> Result<ObjectBytes> {
+    pub fn get(&self, id: ObjectId) -> Result<RecordBytes> {
         let traced = self.recorder.trace_start();
         let (pool_idx, addr) = self.resolve(id)?;
         let mut ps = self.lock_pool(pool_idx);
@@ -715,7 +714,7 @@ impl MnemeFile {
     /// that ranges past a payload shortened by an in-place update may see
     /// stale capacity bytes — callers derive ranges from the record itself,
     /// which cannot point past its own end.
-    pub fn get_range(&self, id: ObjectId, start: u64, len: usize) -> Result<Option<ObjectBytes>> {
+    pub fn get_range(&self, id: ObjectId, start: u64, len: usize) -> Result<Option<RecordBytes>> {
         let traced = self.recorder.trace_start();
         let (pool_idx, addr) = self.resolve(id)?;
         let mut ps = self.lock_pool(pool_idx);
@@ -724,11 +723,11 @@ impl MnemeFile {
             return Ok(None);
         }
         let pool_id = ps.pool.id();
-        let slice_image = |pool: &dyn Pool, seg: &SegmentImage| -> Result<ObjectBytes> {
+        let slice_image = |pool: &dyn Pool, seg: &SegmentImage| -> Result<RecordBytes> {
             let r = locate_in(pool, seg.bytes(), seg.len(), id)?;
             let from = (start.min(r.len() as u64)) as usize;
             let to = from.saturating_add(len).min(r.len());
-            Ok(ObjectBytes::shared(seg.share(), r.start + from, r.start + to))
+            Ok(RecordBytes::shared(seg.share(), r.start + from, r.start + to))
         };
         let payload = if let Some((baddr, image)) = ps.building.as_ref().filter(|(b, _)| *b == addr)
         {
@@ -752,14 +751,14 @@ impl MnemeFile {
                 let bytes = self.handle.read(addr.offset, SEGMENT_HEADER_LEN + want)?;
                 let r = locate_in(ps.pool.as_ref(), &bytes, addr.len as usize, id)?;
                 let end = r.end.min(bytes.len());
-                ObjectBytes::from(bytes[r.start.min(end)..end].to_vec())
+                RecordBytes::from(bytes[r.start.min(end)..end].to_vec())
             } else {
                 let from = (start as usize).min(capacity);
                 let take = len.min(capacity - from);
                 if take == 0 {
-                    ObjectBytes::from(Vec::new())
+                    RecordBytes::from(Vec::new())
                 } else {
-                    ObjectBytes::from(
+                    RecordBytes::from(
                         self.handle.read(addr.offset + (SEGMENT_HEADER_LEN + from) as u64, take)?,
                     )
                 }
@@ -839,8 +838,8 @@ impl MnemeFile {
         }
     }
 
-    /// Deletes an object. The slot is tombstoned; space is reclaimed by
-    /// compaction (see [`crate::gc`]).
+    /// Deletes an object. The slot is tombstoned; its bytes count toward
+    /// [`MnemeFile::garbage_bytes`] and are not reclaimed.
     pub fn delete(&mut self, id: ObjectId) -> Result<()> {
         let MnemeFile { handle, configs, pools, meta, recorder } = self;
         let meta = meta.get_mut();
@@ -1006,17 +1005,8 @@ impl MnemeFile {
         })
     }
 
-    /// Outgoing references of an object, as extracted by its pool.
-    pub fn references_of(&self, id: ObjectId) -> Result<Vec<u64>> {
-        let (pool_idx, addr) = self.resolve(id)?;
-        let mut ps = self.lock_pool(pool_idx);
-        with_segment_read(&self.handle, &self.recorder, &mut ps, addr, |pool, seg| {
-            locate_in(pool, seg.bytes(), seg.len(), id).map(|r| pool.references(&seg.bytes()[r]))
-        })?
-    }
-
     /// Enumerates the ids of every live object. Loads all buckets and scans
-    /// every physical segment — intended for validation and GC, not queries.
+    /// every physical segment — intended for validation and tests, not queries.
     pub fn live_object_ids(&mut self) -> Result<Vec<ObjectId>> {
         let segments = self.segment_inventory()?;
         let mut out = Vec::new();
@@ -1219,10 +1209,7 @@ mod tests {
         let device = Device::with_defaults();
         MnemeFile::create(
             device.create_file(),
-            &[PoolConfig {
-                id: PoolId(0),
-                kind: crate::pool::PoolKindConfig::SegmentPerObject { embedded_refs: false },
-            }],
+            &[PoolConfig { id: PoolId(0), kind: crate::pool::PoolKindConfig::SegmentPerObject }],
             8,
         )
         .unwrap()

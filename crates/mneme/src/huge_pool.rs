@@ -12,11 +12,6 @@
 //! headroom ([`crate::pool::relocation_capacity`]). The pool-specific header
 //! word stores the payload length, allowing in-place updates that shrink (or
 //! grow within the allocated capacity) without touching the location tables.
-//!
-//! With `embedded_refs`, objects begin with a table of packed
-//! [`crate::GlobalId`] references (see [`crate::refs`]), satisfying the
-//! paper's requirement that pools "locate for Mneme any identifiers stored
-//! in the objects managed by the pool".
 
 use std::ops::Range;
 
@@ -26,7 +21,6 @@ use crate::pool::{
     corrupt, header_word, relocation_capacity, set_header_count, set_header_word, write_header,
     AppendOutcome, LocateResult, Pool, SEGMENT_HEADER_LEN,
 };
-use crate::refs;
 use crate::segment::{SegmentImage, SegmentKind};
 
 /// Payload length sentinel marking a deleted object.
@@ -36,14 +30,12 @@ const LEN_DELETED: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct HugePool {
     id: PoolId,
-    embedded_refs: bool,
 }
 
 impl HugePool {
-    /// Creates the policy for pool `id`. When `embedded_refs` is true,
-    /// object payloads are expected to start with a packed reference table.
-    pub fn new(id: PoolId, embedded_refs: bool) -> Self {
-        HugePool { id, embedded_refs }
+    /// Creates the policy for pool `id`.
+    pub fn new(id: PoolId) -> Self {
+        HugePool { id }
     }
 
     fn stored_id(seg: &[u8]) -> u32 {
@@ -151,14 +143,6 @@ impl Pool for HugePool {
             .ok_or_else(|| corrupt("invalid object id", seg))?;
         Ok(vec![(id, range)])
     }
-
-    fn references(&self, object: &[u8]) -> Vec<u64> {
-        if self.embedded_refs {
-            refs::parse_reference_table(object).map(|(refs, _)| refs).unwrap_or_default()
-        } else {
-            Vec::new()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +156,7 @@ mod tests {
 
     #[test]
     fn one_object_per_segment() {
-        let p = HugePool::new(PoolId(2), false);
+        let p = HugePool::new(PoolId(2));
         let data = vec![0x5A; 10_000];
         let mut seg = p.new_segment(oid(0), data.len());
         assert_eq!(seg.len(), SEGMENT_HEADER_LEN + 10_000);
@@ -188,14 +172,14 @@ mod tests {
 
     #[test]
     fn append_requires_matching_id() {
-        let p = HugePool::new(PoolId(2), false);
+        let p = HugePool::new(PoolId(2));
         let mut seg = p.new_segment(oid(0), 4);
         assert_eq!(p.try_append(&mut seg, oid(5), b"data"), AppendOutcome::Full);
     }
 
     #[test]
     fn update_within_capacity_and_shrink() {
-        let p = HugePool::new(PoolId(2), false);
+        let p = HugePool::new(PoolId(2));
         let mut seg = p.new_segment(oid(3), 8);
         p.try_append(&mut seg, oid(3), b"12345678");
         assert!(p.try_update_in_place(&mut seg, oid(3), b"abc"));
@@ -211,7 +195,7 @@ mod tests {
 
     #[test]
     fn delete_then_queries_report_deleted() {
-        let p = HugePool::new(PoolId(2), false);
+        let p = HugePool::new(PoolId(2));
         let mut seg = p.new_segment(oid(3), 4);
         p.try_append(&mut seg, oid(3), b"live");
         assert!(p.delete(&mut seg, oid(3)));
@@ -223,7 +207,7 @@ mod tests {
 
     #[test]
     fn empty_object_is_storable() {
-        let p = HugePool::new(PoolId(2), false);
+        let p = HugePool::new(PoolId(2));
         let mut seg = p.new_segment(oid(0), 0);
         assert_eq!(p.try_append(&mut seg, oid(0), b""), AppendOutcome::Appended);
         match p.locate(seg.bytes(), oid(0)) {
@@ -234,7 +218,7 @@ mod tests {
 
     #[test]
     fn relocated_objects_get_one_size_class_of_headroom() {
-        let p = HugePool::new(PoolId(2), false);
+        let p = HugePool::new(PoolId(2));
         let mut seg = p.relocation_segment(oid(1), 10_000);
         // (16 + 10,000) × 9/8 = 11,268, rounded up to 64 B.
         assert_eq!(seg.len(), 11_328);
@@ -245,17 +229,11 @@ mod tests {
 
     #[test]
     fn length_word_past_the_segment_is_corrupt() {
-        let p = HugePool::new(PoolId(2), false);
+        let p = HugePool::new(PoolId(2));
         let mut seg = p.new_segment(oid(3), 8);
         p.try_append(&mut seg, oid(3), b"12345678");
         set_header_word(seg.bytes_mut(), 9);
         assert!(p.live_objects(seg.bytes()).is_err());
         assert_eq!(p.locate(&seg.bytes()[..10], oid(3)), LocateResult::Corrupt);
-    }
-
-    #[test]
-    fn references_empty_without_flag() {
-        let p = HugePool::new(PoolId(2), false);
-        assert!(p.references(&[1, 2, 3]).is_empty());
     }
 }

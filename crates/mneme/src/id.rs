@@ -76,32 +76,6 @@ pub struct LogicalSegment(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PoolId(pub u8);
 
-/// Slot of an open file within a store-wide id space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FileSlot(pub u16);
-
-/// A store-wide ("globally unique") object identifier: an open file plus a
-/// file-local object id. The paper maps file-local ids to global ids when
-/// objects are accessed so multiple files can be open simultaneously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GlobalId {
-    pub file: FileSlot,
-    pub object: ObjectId,
-}
-
-impl GlobalId {
-    /// Packs into a u64 (for storing references inside objects).
-    pub fn pack(&self) -> u64 {
-        ((self.file.0 as u64) << 32) | self.object.raw() as u64
-    }
-
-    /// Unpacks a reference produced by [`GlobalId::pack`].
-    pub fn unpack(raw: u64) -> Option<GlobalId> {
-        let object = ObjectId::from_raw((raw & 0xFFFF_FFFF) as u32)?;
-        Some(GlobalId { file: FileSlot((raw >> 32) as u16), object })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,13 +109,6 @@ mod tests {
         assert!(ObjectId::from_raw(u32::MAX).is_none()); // sentinel
         assert!(ObjectId::from_raw(1 << 29).is_none()); // beyond 28 bits
         assert!(ObjectId::from_raw(0).is_some());
-    }
-
-    #[test]
-    fn global_id_packs_and_unpacks() {
-        let gid = GlobalId { file: FileSlot(7), object: ObjectId::new(LogicalSegment(99), 42) };
-        assert_eq!(GlobalId::unpack(gid.pack()), Some(gid));
-        assert!(GlobalId::unpack(0x0000_0001_0000_00FF).is_none()); // slot 255
     }
 
     #[test]

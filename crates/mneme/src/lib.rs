@@ -12,8 +12,7 @@
 //!
 //! Key concepts, each in its own module:
 //!
-//! * [`id`] — 28-bit file-local object ids; 255-object logical segments;
-//!   store-wide global ids.
+//! * [`id`] — 28-bit file-local object ids; 255-object logical segments.
 //! * [`pool`] — pools define segment size, object layout, location, and
 //!   creation policy; the extensibility mechanism. Built-ins:
 //!   [`SmallPool`], [`PackedPool`], [`HugePool`].
@@ -25,27 +24,22 @@
 //! * [`table`] — compact multi-level hash location tables, permanently
 //!   cached after first access.
 //! * [`mod@file`] — a Mneme file combining all of the above.
-//! * [`refs`] — inter-object references (linked structures, chunked
-//!   objects).
 //! * [`recovery`] — redo-log + checkpoint durability (the paper's
 //!   future-work item, validating that recovery services do not change the
 //!   performance picture).
-//! * [`gc`] — offline compaction reclaiming tombstoned objects.
+//! * [`validate`] — an integrity check of the tables and every segment.
 //!
 //! All I/O flows through [`poir_storage`], so every experiment measures the
 //! same simulated platform as the baseline B-tree package.
 
 pub mod buffer;
-pub mod bytes;
 pub mod error;
 pub mod file;
-pub mod gc;
 pub mod huge_pool;
 pub mod id;
 pub mod packed_pool;
 pub mod pool;
 pub mod recovery;
-pub mod refs;
 pub mod s3fifo;
 pub mod segment;
 pub mod small_pool;
@@ -53,11 +47,10 @@ pub mod table;
 pub mod validate;
 
 pub use buffer::{Buffer, BufferPolicy, BufferStats, LruBuffer};
-pub use bytes::ObjectBytes;
 pub use error::{MnemeError, Result};
 pub use file::{FileStats, MnemeFile, PoolStats};
 pub use huge_pool::HugePool;
-pub use id::{FileSlot, GlobalId, LogicalSegment, ObjectId, PoolId, SLOTS_PER_SEGMENT};
+pub use id::{LogicalSegment, ObjectId, PoolId, SLOTS_PER_SEGMENT};
 pub use packed_pool::PackedPool;
 pub use pool::{AppendOutcome, LocateResult, Pool, PoolConfig, PoolKindConfig};
 pub use s3fifo::S3FifoBuffer;

@@ -137,13 +137,6 @@ pub trait Pool: Send {
     /// `seg`). A header or object table inconsistent with the segment's
     /// length is [`MnemeError::Corrupt`].
     fn live_objects(&self, seg: &[u8]) -> Result<Vec<(ObjectId, Range<usize>)>>;
-
-    /// Extracts packed [`crate::GlobalId`] references embedded in an
-    /// object's payload, for garbage collection and chunked large objects.
-    /// Pools whose objects hold no references return an empty list.
-    fn references(&self, _object: &[u8]) -> Vec<u64> {
-        Vec::new()
-    }
 }
 
 /// Serializable description of a pool, stored in the file header so a file
@@ -164,9 +157,8 @@ pub enum PoolKindConfig {
     Small,
     /// Objects packed into fixed segments of the given size.
     Packed { segment_size: u32 },
-    /// One object per segment. When `embedded_refs` is true the first bytes
-    /// of each object are a reference table (see [`crate::refs`]).
-    SegmentPerObject { embedded_refs: bool },
+    /// One object per segment.
+    SegmentPerObject,
 }
 
 impl PoolConfig {
@@ -180,10 +172,9 @@ impl PoolConfig {
                 out[1] = 2;
                 out[2..6].copy_from_slice(&segment_size.to_le_bytes());
             }
-            PoolKindConfig::SegmentPerObject { embedded_refs } => {
-                out[1] = 3;
-                out[2] = embedded_refs as u8;
-            }
+            // Byte 2 stays 0: it once flagged embedded reference tables,
+            // and `decode` refuses any other value.
+            PoolKindConfig::SegmentPerObject => out[1] = 3,
         }
         out
     }
@@ -196,7 +187,7 @@ impl PoolConfig {
             2 => PoolKindConfig::Packed {
                 segment_size: u32::from_le_bytes(raw[2..6].try_into().unwrap()),
             },
-            3 => PoolKindConfig::SegmentPerObject { embedded_refs: raw[2] != 0 },
+            3 if raw[2] == 0 => PoolKindConfig::SegmentPerObject,
             _ => return None,
         };
         Some(PoolConfig { id, kind })
@@ -209,9 +200,7 @@ impl PoolConfig {
             PoolKindConfig::Packed { segment_size } => {
                 Box::new(crate::packed_pool::PackedPool::new(self.id, segment_size as usize))
             }
-            PoolKindConfig::SegmentPerObject { embedded_refs } => {
-                Box::new(crate::huge_pool::HugePool::new(self.id, embedded_refs))
-            }
+            PoolKindConfig::SegmentPerObject => Box::new(crate::huge_pool::HugePool::new(self.id)),
         }
     }
 }
@@ -263,19 +252,15 @@ mod tests {
         let configs = [
             PoolConfig { id: PoolId(0), kind: PoolKindConfig::Small },
             PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 8192 } },
-            PoolConfig {
-                id: PoolId(2),
-                kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-            },
-            PoolConfig {
-                id: PoolId(3),
-                kind: PoolKindConfig::SegmentPerObject { embedded_refs: true },
-            },
+            PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
         ];
         for c in &configs {
             assert_eq!(PoolConfig::decode(&c.encode()).as_ref(), Some(c));
         }
         assert_eq!(PoolConfig::decode(&[0, 9, 0, 0, 0, 0, 0, 0]), None);
+        // The one-object-per-segment config keeps its flag byte at 0.
+        assert_eq!(configs[2].encode(), [2, 3, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(PoolConfig::decode(&[3, 3, 1, 0, 0, 0, 0, 0]), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! paper's read-dominated workload, validating the "no excessive overhead"
 //! claim: lookups never touch the log.
 
-use poir_storage::FileHandle;
+use poir_storage::{FileHandle, RecordBytes};
 
 use crate::error::{MnemeError, Result};
 use crate::file::MnemeFile;
@@ -197,7 +197,7 @@ impl RecoverableFile {
     }
 
     /// Reads an object (never touches the log).
-    pub fn get(&mut self, id: ObjectId) -> Result<crate::ObjectBytes> {
+    pub fn get(&mut self, id: ObjectId) -> Result<RecordBytes> {
         self.inner.get(id)
     }
 
@@ -294,10 +294,7 @@ mod tests {
         vec![
             PoolConfig { id: PoolId(0), kind: PoolKindConfig::Small },
             PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 512 } },
-            PoolConfig {
-                id: PoolId(2),
-                kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-            },
+            PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
         ]
     }
 

@@ -657,10 +657,7 @@ mod tests {
         {
             let mut f = MnemeFile::create(
                 handle.clone(),
-                &[PoolConfig {
-                    id: PoolId(0),
-                    kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-                }],
+                &[PoolConfig { id: PoolId(0), kind: PoolKindConfig::SegmentPerObject }],
                 8,
             )
             .unwrap();

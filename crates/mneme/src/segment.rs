@@ -26,7 +26,7 @@ pub struct SegmentAddr {
 /// and written back to the file when dirty.
 ///
 /// The bytes sit behind an `Arc` so the read path can hand out zero-copy
-/// payload slices ([`crate::ObjectBytes`]) that outlive buffer eviction.
+/// payload slices ([`poir_storage::RecordBytes`]) that outlive buffer eviction.
 /// Mutation is copy-on-write: [`SegmentImage::bytes_mut`] clones the
 /// buffer when a reader or the image's own copy of the file's bytes still
 /// shares it.

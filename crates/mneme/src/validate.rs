@@ -15,8 +15,8 @@
 //!   segment (no dangling runs).
 //!
 //! The report lists problems rather than failing fast, so a damaged file
-//! can be triaged before attempting [`crate::gc::compact`] or restoring
-//! from a [`crate::recovery`] log.
+//! can be triaged in full before it is restored from a [`crate::recovery`]
+//! log.
 
 use crate::error::Result;
 use crate::file::MnemeFile;
@@ -148,7 +148,7 @@ pub(crate) fn kind_of_config(kind: &crate::pool::PoolKindConfig) -> SegmentKind 
     match kind {
         crate::pool::PoolKindConfig::Small => SegmentKind::FixedSlots,
         crate::pool::PoolKindConfig::Packed { .. } => SegmentKind::Packed,
-        crate::pool::PoolKindConfig::SegmentPerObject { .. } => SegmentKind::SingleObject,
+        crate::pool::PoolKindConfig::SegmentPerObject => SegmentKind::SingleObject,
     }
 }
 
@@ -162,10 +162,7 @@ mod tests {
         vec![
             PoolConfig { id: PoolId(0), kind: PoolKindConfig::Small },
             PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 2048 } },
-            PoolConfig {
-                id: PoolId(2),
-                kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-            },
+            PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
         ]
     }
 

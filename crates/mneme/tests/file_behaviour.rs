@@ -10,10 +10,7 @@ fn paper_pools() -> Vec<PoolConfig> {
     vec![
         PoolConfig { id: PoolId(0), kind: PoolKindConfig::Small },
         PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 8192 } },
-        PoolConfig {
-            id: PoolId(2),
-            kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-        },
+        PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
     ]
 }
 
@@ -277,6 +274,15 @@ fn open_rejects_garbage() {
     let dev = device();
     let handle = dev.create_file();
     handle.write(0, &vec![0xAAu8; 8192]).unwrap();
+    assert!(matches!(MnemeFile::open(handle), Err(MnemeError::Corrupt(_))));
+    // A valid file whose one-object-per-segment pool config (the third,
+    // at header offset 40 + 2 * 8) has its byte 2 set: that byte once
+    // flagged embedded reference tables and is always written as 0.
+    let handle = dev.create_file();
+    MnemeFile::create(handle.clone(), &paper_pools(), 16).unwrap().flush().unwrap();
+    let flag = 40 + 2 * 8 + 2;
+    assert_eq!(handle.read(flag, 1).unwrap(), [0u8]);
+    handle.write(flag, &[1]).unwrap();
     assert!(matches!(MnemeFile::open(handle), Err(MnemeError::Corrupt(_))));
 }
 

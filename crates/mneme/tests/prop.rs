@@ -34,10 +34,7 @@ fn pools() -> Vec<PoolConfig> {
     vec![
         PoolConfig { id: PoolId(0), kind: PoolKindConfig::Small },
         PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 2048 } },
-        PoolConfig {
-            id: PoolId(2),
-            kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-        },
+        PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
     ]
 }
 

@@ -19,10 +19,7 @@ fn pools() -> Vec<PoolConfig> {
     vec![
         PoolConfig { id: PoolId(0), kind: PoolKindConfig::Small },
         PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: PACKED as u32 } },
-        PoolConfig {
-            id: PoolId(2),
-            kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-        },
+        PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
     ]
 }
 
@@ -218,10 +215,7 @@ fn segment_region(handle: &FileHandle) -> (u64, u64) {
 fn huge_only() -> (std::sync::Arc<Device>, FileHandle, MnemeFile) {
     let dev = device();
     let handle = dev.create_file();
-    let pools = [PoolConfig {
-        id: PoolId(0),
-        kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-    }];
+    let pools = [PoolConfig { id: PoolId(0), kind: PoolKindConfig::SegmentPerObject }];
     let file = MnemeFile::create(handle.clone(), &pools, 4).unwrap();
     (dev, handle, file)
 }

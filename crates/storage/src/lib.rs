@@ -24,6 +24,7 @@
 //! "chill file"; [`Device::chill`] performs the equivalent purge.
 
 mod backend;
+mod bytes;
 mod cache;
 mod cost;
 mod device;
@@ -32,6 +33,7 @@ mod fault;
 mod stats;
 
 pub use backend::{ByteStore, FileBackend, InMemoryBackend};
+pub use bytes::RecordBytes;
 pub use cache::OsCache;
 pub use cost::{CostModel, SimTime};
 pub use device::{Device, DeviceConfig, FileHandle, FileId};

@@ -8,8 +8,8 @@
 //! deletion of a single document ... requires the entire document collection
 //! to be re-indexed" (Section 2). The object store removes that
 //! restriction: this example starts from a TIPSTER-like core, streams in
-//! breaking-news documents one at a time, retires old ones, and compacts
-//! the store to reclaim the holes — all while queries keep working.
+//! breaking-news documents one at a time and retires old ones — all while
+//! queries keep working.
 
 use poir::collections::{self, SyntheticCollection};
 use poir::core::{BackendKind, Engine};
@@ -63,29 +63,4 @@ fn main() {
     engine.remove_document(doc, text).expect("remove");
     let hits = engine.query("zeppelin", 3).expect("query");
     println!("after retirement, query \"zeppelin\" → {} hits", hits.len());
-
-    // Deletions leave tombstones; offline compaction reclaims them. (This
-    // drops to the Mneme layer — the gc module rewrites live objects into a
-    // fresh file and reports the space reclaimed.)
-    let pools = vec![poir::mneme::PoolConfig {
-        id: poir::mneme::PoolId(0),
-        kind: poir::mneme::PoolKindConfig::Packed { segment_size: 8192 },
-    }];
-    let mut demo =
-        poir::mneme::MnemeFile::create(device.create_file(), &pools, 16).expect("create");
-    let mut ids = Vec::new();
-    for i in 0..500u32 {
-        ids.push(demo.create_object(poir::mneme::PoolId(0), &[i as u8; 64]).expect("create"));
-    }
-    for id in ids.iter().skip(1).step_by(2) {
-        demo.delete(*id).expect("delete");
-    }
-    let (_compacted, _map, stats) =
-        poir::mneme::gc::compact(&mut demo, device.create_file(), &pools, 16).expect("compact");
-    println!(
-        "compaction demo: {} objects copied, file {} KB → {} KB",
-        stats.objects_copied,
-        stats.bytes_before / 1024,
-        stats.bytes_after / 1024
-    );
 }

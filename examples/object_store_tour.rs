@@ -1,5 +1,5 @@
 //! A tour of the Mneme persistent object store used directly — pools,
-//! buffers, reservations, inter-object references, crash recovery.
+//! buffers, reservations, persistence, crash recovery.
 //!
 //! ```text
 //! cargo run --release --example object_store_tour
@@ -9,7 +9,6 @@
 //! backed by the host filesystem (`Device::create_file_at`), which is what
 //! this example does in a temporary directory.
 
-use poir::core::chunked;
 use poir::mneme::{
     recovery::RecoverableFile, LruBuffer, MnemeFile, PoolConfig, PoolId, PoolKindConfig,
 };
@@ -25,14 +24,7 @@ fn main() {
     let pools = vec![
         PoolConfig { id: PoolId(0), kind: PoolKindConfig::Small },
         PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 8192 } },
-        PoolConfig {
-            id: PoolId(2),
-            kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-        },
-        PoolConfig {
-            id: PoolId(3),
-            kind: PoolKindConfig::SegmentPerObject { embedded_refs: true },
-        },
+        PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
     ];
     let handle = device.create_file_at(&dir.join("store.mneme")).expect("file");
     let mut file = MnemeFile::create(handle.clone(), &pools, 32).expect("create");
@@ -57,21 +49,6 @@ fn main() {
         stats.hits,
         stats.hit_rate()
     );
-
-    // --- inter-object references: chunked large objects -------------------
-    // Break a large object into linked chunks for incremental retrieval
-    // (the paper's Section 6 future-work item).
-    let big_payload: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8).collect();
-    let root = chunked::store(&mut file, PoolId(3), PoolId(2), &big_payload, 32_768)
-        .expect("chunked store");
-    let mut cursor = chunked::ChunkCursor::open(&mut file, root).expect("cursor");
-    println!(
-        "chunked object {root:?}: {} bytes in {} chunks; first chunk has {} bytes",
-        cursor.total_len(),
-        cursor.num_chunks(),
-        cursor.next_chunk(&mut file).expect("chunk").expect("first").len()
-    );
-    assert_eq!(chunked::load(&mut file, root).expect("load"), big_payload);
 
     // --- persistence -------------------------------------------------------
     file.flush().expect("flush");

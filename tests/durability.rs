@@ -114,10 +114,7 @@ mod torn_log_fuzz {
     fn pools() -> Vec<PoolConfig> {
         vec![
             PoolConfig { id: PoolId(1), kind: PoolKindConfig::Packed { segment_size: 4096 } },
-            PoolConfig {
-                id: PoolId(2),
-                kind: PoolKindConfig::SegmentPerObject { embedded_refs: false },
-            },
+            PoolConfig { id: PoolId(2), kind: PoolKindConfig::SegmentPerObject },
         ]
     }
 
